@@ -1,9 +1,10 @@
 """Command-line surface: polynomial tables, shape generation, artifact
 verification, and state counting.
 
-Exit codes: 0 success, 2 invalid arguments or unreadable input, 3
-completeness failure, 4 histogram mismatch, 5 artifact verification
-failure.  Data goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, 2 invalid arguments or unreadable or malformed
+input, 3 incomplete enumeration or failed completeness certificate, 4
+histogram mismatch, 5 artifact verification failure.  Data goes to
+stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep scanning a grade after it has filled")
     g.add_argument("--threads", type=int, default=1)
     g.add_argument("--no-verify", action="store_true",
-                   help="skip the completeness rank check")
+                   help="skip the completeness certificate")
 
     v = sub.add_parser("verify", help="re-check a shapes.json artifact")
     v.add_argument("path", help="path to shapes.json")
@@ -137,13 +138,9 @@ def cmd_gen(args) -> int:
         print(f"enumeration incomplete: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # both checks run before anything is written, so a failed run leaves
+    # no artifact behind that looks like a finished one
     doc = document_from_result(result)
-    (out / "shapes.json").write_text(dumps_document(doc), encoding="utf-8")
-    (out / "tree.dot").write_text(document_to_dot(doc), encoding="utf-8")
-    (out / "report.txt").write_text(report_to_text(result), encoding="utf-8")
-
     expected = {
         g: c for g, c in enumerate(doc.shape_poly) if c
     }
@@ -160,6 +157,12 @@ def cmd_gen(args) -> int:
         except IncompletenessError as exc:
             print(f"completeness check failed: {exc}", file=sys.stderr)
             return EXIT_INCOMPLETE
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "shapes.json").write_text(dumps_document(doc), encoding="utf-8")
+    (out / "tree.dot").write_text(document_to_dot(doc), encoding="utf-8")
+    (out / "report.txt").write_text(report_to_text(result), encoding="utf-8")
     print(
         f"{len(result.records)} shapes, {result.tree.edge_count()} tree "
         f"edges, {len(result.tree.extra_edges)} extra edges -> {out}"

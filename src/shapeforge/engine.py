@@ -13,9 +13,22 @@ call.
 
 If the vocabulary fails to fill a grade, the enumerator falls back to
 antisymmetrized occupation sets, which span the full antisymmetric
-space at that grade.  Fallback activations are first-class report data,
-and verify_completeness certifies the final generator set by checking
-that the per-grade module rank matches the state-count series.
+space at that grade.  Fallback activations are first-class report data.
+
+verify_completeness certifies the final generator set without forming
+a single module product.  The antisymmetric polynomials A are a free
+module over the ring R of polynomials symmetric in each coordinate
+separately (Chevalley's theorem: k[X] is free over R, and A is an
+R-linear direct summand of it).  By graded Nakayama, homogeneous
+antisymmetric polynomials form an R-basis of A iff their images in
+A / R+ A, which sits inside the coinvariant algebra k[X] / R+ k[X], are
+a basis there.  That quotient has dimension shape_poly(n, d).coeff(g) at
+grade g, so the certificate reduces every shape to its normal form
+modulo R+ k[X] and checks that, grade by grade, there are exactly that
+many shapes and their normal forms are linearly independent (see
+Sturmfels, Algorithms in Invariant Theory, ch. 1).  module_span_matrix,
+the direct rank of the module span, stays as the reference that tests
+compare the certificate against.
 """
 
 from __future__ import annotations
@@ -46,7 +59,6 @@ from .qseries import (
     ground_grade,
     shape_entropy,
     shape_poly,
-    state_count_series,
 )
 from .shiftops import Letter, SymWord, Word, apply_symword
 
@@ -427,8 +439,11 @@ def module_span_matrix(
 ) -> SparseIntMatrix:
     """Exact row space of {generator monomial * shape} at grade g.
 
-    Feeding rows in descending leading-monomial order makes most of them
-    land on fresh pivot columns, so the elimination stays cheap.
+    Its rank equals the state count at every grade exactly when the shapes
+    span the antisymmetric module; tests use it as the reference for the
+    normal-form certificate in verify_completeness.  Feeding rows in
+    descending leading-monomial order makes most of them land on fresh
+    pivot columns, so the elimination stays cheap.
     """
     recipes = []
     support: set[tuple] = set()
@@ -450,23 +465,132 @@ def module_span_matrix(
     return matrix
 
 
+class _CoinvariantReducer:
+    """Normal forms modulo the ideal R+ k[X] generated by the
+    positive-degree polynomials symmetric in each coordinate.
+
+    The ideal is a sum of one ideal per coordinate in disjoint variables.
+    Under the package's lex order (x_{c,0} > x_{c,1} > ...) the coordinate-c
+    part has the Groebner basis h_{k+1}(x_{c,k}, ..., x_{c,n-1}) for
+    k = 0..n-1, with leading term x_{c,k}^(k+1); its standard monomials
+    are those with exponent of x_{c,k} at most k, n! of them.  So the
+    normal form of a monomial is the product of the normal forms of its
+    per-coordinate blocks of n exponents.  The basis is monic, so every
+    normal form has integer coefficients.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.d = d
+        # for each k, the monomials of h_{k+1}(x_k..x_{n-1}) other than the
+        # leading x_k^(k+1), as exponent blocks: x_k^(k+1) == -sum(tail[k])
+        self._tails = []
+        for k in range(n):
+            tail = []
+            for combo in itertools.combinations_with_replacement(
+                    range(k, n), k + 1):
+                block = [0] * n
+                for i in combo:
+                    block[i] += 1
+                if block[k] != k + 1:
+                    tail.append(tuple(block))
+            self._tails.append(tail)
+        self._blocks: dict[tuple, tuple[tuple[tuple, int], ...]] = {}
+
+    def block(self, a: tuple) -> tuple[tuple[tuple, int], ...]:
+        """Normal form of one coordinate's exponent block as
+        (standard block, coefficient) pairs."""
+        got = self._blocks.get(a)
+        if got is not None:
+            return got
+        k = next((i for i, e in enumerate(a) if e > i), None)
+        if k is None:
+            got = ((a, 1),)
+        else:
+            # x^a = x^b * x_k^(k+1); every tail monomial is lex-smaller than
+            # x_k^(k+1) and leaves the exponents before k alone, so the
+            # recursion descends in lex order and terminates
+            b = list(a)
+            b[k] -= k + 1
+            acc: dict[tuple, int] = {}
+            for t in self._tails[k]:
+                for std, c in self.block(tuple(x + y for x, y in zip(b, t))):
+                    v = acc.get(std, 0) - c
+                    if v:
+                        acc[std] = v
+                    else:
+                        del acc[std]
+            got = tuple(acc.items())
+        self._blocks[a] = got
+        return got
+
+    def normal_form(self, p: MPoly) -> MPoly:
+        """Reduce one coordinate at a time, merging terms after each, so
+        terms that meet on a standard block combine before the next one."""
+        n = self.n
+        terms = p.terms
+        for c in range(self.d):
+            lo, hi = c * n, (c + 1) * n
+            out: dict[tuple, int] = {}
+            for mono, coeff in terms.items():
+                head, tail = mono[:lo], mono[hi:]
+                for std, k in self.block(mono[lo:hi]):
+                    key = head + std + tail
+                    v = out.get(key, 0) + coeff * k
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+            terms = out
+        return MPoly(p.n, p.d, terms)
+
+
 def verify_completeness(
     n: int, d: int, records: Sequence[ShapeRecord]
 ) -> list[tuple[int, int, int]]:
-    """Check rank(module span) == state-count coefficient at every grade
-    up to the top grade.  Returns (grade, expected, rank) triples; any
-    deficit is a hard error."""
+    """Certify that records form a basis of the antisymmetric module.
+
+    records must be antisymmetric and homogeneous of their stated grades
+    (enumerate_shapes builds them so; `shapeforge verify` checks both
+    first).  They form an R-basis iff, at every grade g, there are exactly
+    shape_poly(n, d).coeff(g) of them and their normal forms modulo the
+    coinvariant ideal are linearly independent (Chevalley plus graded
+    Nakayama; see the module docstring), and n!^(d-1) in all.  Returns
+    (grade, expected, rank) triples for grades 0..top, where expected is
+    the shape-polynomial coefficient and rank that of the normal forms;
+    any deficit raises IncompletenessError naming the grade.
+    """
     top = degree_D(d, n)
-    series = state_count_series(n, d, top)
+    poly = shape_poly(n, d, Statistics.FERMION)
+    by_grade: dict[int, list[ShapeRecord]] = {}
+    for rec in records:
+        by_grade.setdefault(rec.grade, []).append(rec)
+    reducer = _CoinvariantReducer(n, d)
     results = []
     for g in range(top + 1):
-        rank = module_span_matrix(g, records, n, d).rank()
-        expected = series.coeff(g)
-        results.append((g, expected, rank))
-        if rank != expected:
+        expected = poly.coeff(g)
+        here = by_grade.get(g, ())
+        if len(here) != expected:
             raise IncompletenessError(
-                f"grade {g}: module rank {rank} != state count {expected}"
+                f"grade {g}: {len(here)} shapes, the shape polynomial "
+                f"expects {expected}"
             )
+        registry = MonomialIndex()
+        matrix = SparseIntMatrix()
+        for rec in here:
+            nf = reducer.normal_form(rec.poly)
+            registry.extend_from(nf)
+            matrix.resize(len(registry))
+            matrix.try_extend(coeff_vector(nf, registry))
+        results.append((g, expected, matrix.rank()))
+        if matrix.rank() != expected:
+            raise IncompletenessError(
+                f"grade {g}: normal forms have rank {matrix.rank()} of "
+                f"{expected}"
+            )
+    total = math.factorial(n) ** (d - 1)
+    if len(records) != total:
+        raise IncompletenessError(f"{len(records)} shapes, expected {total}")
     return results
 
 

@@ -10,6 +10,7 @@ serialize(x).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .engine import (
@@ -48,6 +49,58 @@ def document_from_result(result: EnumerationResult) -> ShapeDocument:
     )
 
 
+class ArtifactFormatError(ValueError):
+    """A document does not follow the shapes.json schema."""
+
+
+def _field(obj, key: str, where: str, required: bool = True):
+    if not isinstance(obj, dict):
+        raise ArtifactFormatError(f"{where}: expected an object")
+    if required and key not in obj:
+        raise ArtifactFormatError(f"{where}: missing {key!r}")
+    return obj.get(key)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ArtifactFormatError(f"{where}: expected a list")
+    return value
+
+
+def _int(value, where: str) -> int:
+    # ids, grades and signs are written as JSON numbers, contents and
+    # shape-polynomial coefficients as decimal strings
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ArtifactFormatError(f"{where}: expected an integer, got {value!r}")
+
+
+def _float(value, where: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ArtifactFormatError(f"{where}: expected a number, got {value!r}")
+
+
+def _word(text, d: int, where: str) -> SymWord:
+    if not isinstance(text, str):
+        raise ArtifactFormatError(f"{where}: expected a word string")
+    try:
+        w = word_from_str(text)
+    except ValueError as exc:
+        raise ArtifactFormatError(f"{where}: {exc}") from None
+    for letter in w.letters:
+        if letter.coordinate >= d:
+            raise ArtifactFormatError(
+                f"{where}: coordinate {letter.coordinate} outside d={d}")
+    return SymWord(w)
+
+
 def _poly_to_json(p: MPoly) -> list[dict]:
     return [
         {"exp": list(mono), "coef": str(p.terms[mono])}
@@ -55,8 +108,22 @@ def _poly_to_json(p: MPoly) -> list[dict]:
     ]
 
 
-def _poly_from_json(items: list[dict], n: int, d: int) -> MPoly:
-    terms = {tuple(item["exp"]): int(item["coef"]) for item in items}
+def _poly_from_json(items, n: int, d: int, where: str) -> MPoly:
+    items = _list(items, where)
+    try:
+        terms = {tuple(map(operator.index, item["exp"])): int(item["coef"])
+                 for item in items}
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ArtifactFormatError(
+            f"{where}: every term needs an integer list 'exp' and an "
+            f"integer 'coef'") from None
+    if terms and set(map(len, terms)) != {n * d}:
+        raise ArtifactFormatError(
+            f"{where}: exponent vectors must have n*d = {n * d} entries")
+    if terms and n * d and min(map(min, terms)) < 0:
+        raise ArtifactFormatError(f"{where}: negative exponent")
+    if not all(terms.values()):
+        raise ArtifactFormatError(f"{where}: zero coefficient")
     return MPoly(n, d, terms)
 
 
@@ -71,16 +138,26 @@ def _provenance_to_json(pv: Provenance) -> dict:
     }
 
 
-def _provenance_from_json(data: dict) -> Provenance:
-    word = data.get("word")
-    rows = data.get("rows")
+def _provenance_from_json(data, n: int, d: int, where: str) -> Provenance:
+    word = _field(data, "word", where, required=False)
+    rows = _field(data, "rows", where, required=False)
+    parent = _field(data, "parent", where, required=False)
+    if rows is not None:
+        rows = tuple(
+            tuple(_int(e, f"{where}.rows") for e in _list(r, f"{where}.rows"))
+            for r in _list(rows, f"{where}.rows")
+        )
+        if len(rows) != n or len(set(rows)) != n or any(
+                len(r) != d or min(r, default=0) < 0 for r in rows):
+            raise ArtifactFormatError(f"{where}.rows: expected {n} distinct "
+                                      f"rows of {d} nonnegative exponents")
     return Provenance(
-        kind=data["kind"],
-        parent=data.get("parent"),
-        word=None if word is None else SymWord(word_from_str(word)),
-        rows=None if rows is None else tuple(tuple(r) for r in rows),
-        content=int(data["content"]),
-        sign=int(data["sign"]),
+        kind=_field(data, "kind", where),
+        parent=None if parent is None else _int(parent, f"{where}.parent"),
+        word=None if word is None else _word(word, d, f"{where}.word"),
+        rows=rows,
+        content=_int(_field(data, "content", where), f"{where}.content"),
+        sign=_int(_field(data, "sign", where), f"{where}.sign"),
     )
 
 
@@ -123,38 +200,59 @@ def document_to_dict(doc: ShapeDocument) -> dict:
     }
 
 
-def document_from_dict(data: dict) -> ShapeDocument:
-    n = int(data["n"])
-    d = int(data["d"])
+def document_from_dict(data) -> ShapeDocument:
+    """Parse a document, checking it against the artifact schema: every
+    violation raises ArtifactFormatError, so nothing malformed (a wrong
+    type, an exponent vector of the wrong length or with a negative entry,
+    a word naming a coordinate >= d) reaches the polynomial code."""
+    n = _int(_field(data, "n", "document"), "n")
+    d = _int(_field(data, "d", "document"), "d")
     records = []
-    for item in data["shapes"]:
+    shapes = _list(_field(data, "shapes", "document"), "shapes")
+    for k, item in enumerate(shapes):
+        where = f"shapes[{k}]"
         records.append(
             ShapeRecord(
-                id=int(item["id"]),
-                grade=int(item["grade"]),
-                poly=_poly_from_json(item["poly"], n, d),
-                provenance=_provenance_from_json(item["provenance"]),
-                entropy=float(item["entropy"]),
+                id=_int(_field(item, "id", where), f"{where}.id"),
+                grade=_int(_field(item, "grade", where), f"{where}.grade"),
+                poly=_poly_from_json(_field(item, "poly", where), n, d,
+                                     f"{where}.poly"),
+                provenance=_provenance_from_json(
+                    _field(item, "provenance", where), n, d,
+                    f"{where}.provenance"),
+                entropy=_float(_field(item, "entropy", where),
+                               f"{where}.entropy"),
             )
         )
-    tree_data = data["tree"]
-    edges = {
-        int(e["child"]): (int(e["parent"]), SymWord(word_from_str(e["word"])))
-        for e in tree_data["edges"]
-    }
-    extra = [
-        (int(e["from"]), int(e["to"]), SymWord(word_from_str(e["word"])),
-         int(e["sign"]))
-        for e in tree_data["extra_edges"]
-    ]
+    tree_data = _field(data, "tree", "document")
+    edges = {}
+    for k, e in enumerate(_list(_field(tree_data, "edges", "tree"),
+                                "tree.edges")):
+        where = f"tree.edges[{k}]"
+        child = _int(_field(e, "child", where), f"{where}.child")
+        edges[child] = (_int(_field(e, "parent", where), f"{where}.parent"),
+                        _word(_field(e, "word", where), d, f"{where}.word"))
+    extra = []
+    for k, e in enumerate(_list(_field(tree_data, "extra_edges", "tree"),
+                                "tree.extra_edges")):
+        where = f"tree.extra_edges[{k}]"
+        extra.append((
+            _int(_field(e, "from", where), f"{where}.from"),
+            _int(_field(e, "to", where), f"{where}.to"),
+            _word(_field(e, "word", where), d, f"{where}.word"),
+            _int(_field(e, "sign", where), f"{where}.sign"),
+        ))
     return ShapeDocument(
         n=n,
         d=d,
-        generator_order=data["generator_order"],
-        shape_poly=[int(c) for c in data["shape_poly"]],
+        generator_order=_field(data, "generator_order", "document"),
+        shape_poly=[_int(c, "shape_poly")
+                    for c in _list(_field(data, "shape_poly", "document"),
+                                   "shape_poly")],
         records=records,
-        tree=BranchingTree(root=int(tree_data["root"]), edges=edges,
-                           extra_edges=extra),
+        tree=BranchingTree(
+            root=_int(_field(tree_data, "root", "tree"), "tree.root"),
+            edges=edges, extra_edges=extra),
     )
 
 

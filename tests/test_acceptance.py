@@ -21,6 +21,7 @@ from shapeforge.engine import (
     enumerate_shapes,
     express_in_basis,
     generator_monomials,
+    module_span_matrix,
     verify_completeness,
     verify_sign_conflict,
 )
@@ -142,12 +143,16 @@ def test_criterion_5_sign_conflict(capsys):
 
 def test_criterion_6_completeness(timed33, capsys):
     result, _ = timed33
-    with criterion(6, "module rank equals the state count at grades 0..9", capsys):
+    with criterion(6, "normal forms independent and module rank equal to "
+                      "the state count at grades 0..9", capsys):
         triples = verify_completeness(3, 3, result.records)
+        coeffs = shape_poly(3, 3, F)
         series = state_count_series(3, 3, 9)
         assert [g for g, _, _ in triples] == list(range(10))
         for g, expected, rank in triples:
-            assert rank == expected == series.coeff(g)
+            assert rank == expected == coeffs.coeff(g)
+            assert module_span_matrix(g, result.records, 3, 3).rank() == \
+                series.coeff(g)
 
 
 def test_criterion_7_shift_operator_goldens(capsys):
@@ -179,11 +184,14 @@ def test_criterion_7_shift_operator_goldens(capsys):
 
 def test_criterion_8_scale_up(timed43, capsys):
     result, elapsed = timed43
-    with criterion(8, "576 shapes match the recursion histogram", capsys, 1800.0) as info:
+    with criterion(8, "576 shapes match the recursion histogram and are "
+                      "certified complete", capsys, 1800.0) as info:
         info["elapsed"] = elapsed
         assert len(result.records) == 576 == math.factorial(4) ** 2
         coeffs = shape_poly(4, 3, F).coeffs
         assert result.histogram() == {g: c for g, c in enumerate(coeffs) if c}
+        triples = verify_completeness(4, 3, result.records)
+        assert [(g, rank) for g, _, rank in triples] == list(enumerate(coeffs))
 
 
 def test_criterion_9_property_suites(timed33, timed43, capsys):

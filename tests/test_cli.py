@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -145,6 +146,7 @@ def test_gen_histogram_mismatch_exit_code(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path))
     assert rc == 4
     assert "histogram mismatch" in err
+    assert not (tmp_path / "shapes.json").exists()
 
 
 def test_gen_incomplete_enumeration_exit_code(tmp_path, capsys, monkeypatch):
@@ -165,6 +167,7 @@ def test_gen_completeness_check_exit_code(tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path))
     assert rc == 3
     assert "completeness check failed" in err
+    assert not (tmp_path / "shapes.json").exists()
     rc, _, _ = run(capsys, "gen", "-N", "2", "-d", "3",
                    "--out", str(tmp_path), "--no-verify")
     assert rc == 0
@@ -219,6 +222,57 @@ def test_verify_rejects_relabeled_grade(tmp_path, capsys, artifact_text):
         doc["shapes"][1]["grade"] = 2
     rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
     assert rc == 5
+
+
+def _set(path, value):
+    """A mutation that replaces the item at a key path with value."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("shapes",), None),
+    _set(("shapes",), 5),
+    _set(("shapes", 0, "poly"), None),
+    _set(("shapes", 1, "provenance", "word"), "x[-1]t[-1]"),
+    _set(("shapes", 0, "poly", 0, "exp"), [3, 0, 0, 0, 0]),
+    _set(("shapes", 0, "poly", 0, "exp"), [3, 0, 0, 0, 0, 0, 0]),
+    _set(("shapes", 0, "poly", 0, "exp", 1), -1),
+], ids=["shapes-null", "shapes-number", "poly-null", "word-coordinate",
+        "exp-short", "exp-long", "exp-negative"])
+def test_verify_rejects_malformed_artifact(tmp_path, capsys, artifact_text,
+                                           mutate):
+    rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
+    assert rc == 2
+    assert "cannot load" in err
+
+
+def test_verify_random_edits_never_traceback(tmp_path, capsys, artifact_text):
+    # seeded edits anywhere in a valid artifact: each one is either
+    # harmless or rejected with a documented exit code
+    base = json.loads(artifact_text)
+    slots = []
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            slots.append(path + (key,))
+            if isinstance(child, (dict, list)):
+                walk(child, path + (key,))
+
+    walk(base, ())
+    values = [None, 5, -1, 0, "x", "0", [], {}, True, 1.5, "x[-1]", 10**6,
+              10**400, float("inf")]
+    rng = random.Random(7)
+    for _ in range(300):
+        path = rng.choice(slots)
+        rc, _, _ = run(capsys, "verify", damaged(
+            tmp_path, artifact_text, _set(path, rng.choice(values))))
+        assert rc in (0, 2, 5), path
 
 
 def test_verify_missing_file(tmp_path, capsys):

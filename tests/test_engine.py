@@ -1,6 +1,9 @@
 """Enumeration engine tests: vocabulary, descent, completeness, and
 exact decomposition over the symmetric generators."""
 
+import dataclasses
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from shapeforge.engine import (
     EngineConfig,
     IncompletenessError,
     _annihilated,
+    _CoinvariantReducer,
     assemble,
     build_vocabulary,
     enumerate_shapes,
@@ -254,17 +258,53 @@ def test_module_span_matrix_two_particles_full_rank():
         assert module_span_matrix(g, records, 2, 3).rank() == series.coeff(g)
 
 
+def test_coinvariant_normal_forms():
+    for n in range(1, 5):
+        reducer = _CoinvariantReducer(n, 1)
+        # the standard monomials x_k^(<=k) fill the q-factorial [n]_q!
+        blocks = [b for b in itertools.product(range(n), repeat=n)
+                  if all(e <= k for k, e in enumerate(b))]
+        assert len(blocks) == math.factorial(n)
+        for b in blocks:
+            assert reducer.block(b) == ((b, 1),)
+        # every multiple of a positive-degree symmetric polynomial is zero
+        for b in itertools.product(range(4), repeat=n):
+            x = MPoly(n, 1, {b: 1})
+            for j in range(1, n + 1):
+                e = elementary_symmetric(0, j, n, 1)
+                assert reducer.normal_form(x * e).is_zero()
+
+
 def test_verify_completeness_two_particles():
     records = enumerate_shapes(2, 3).records
     results = verify_completeness(2, 3, records)
+    poly = shape_poly(2, 3, Statistics.FERMION)
+    assert results == [(g, poly.coeff(g), poly.coeff(g)) for g in range(4)]
+    # the module rank the certificate stands in for, checked directly
     series = state_count_series(2, 3, 3)
-    assert results == [(g, series.coeff(g), series.coeff(g)) for g in range(4)]
+    for g in range(4):
+        assert module_span_matrix(g, records, 2, 3).rank() == series.coeff(g)
 
 
 def test_verify_completeness_detects_missing_shape():
     records = enumerate_shapes(2, 3).records
-    with pytest.raises(IncompletenessError):
+    with pytest.raises(IncompletenessError, match="grade 1"):
         verify_completeness(2, 3, records[:-1])
+
+
+def test_verify_completeness_detects_symmetric_multiple():
+    # e1 times a grade-2 shape keeps the histogram but is not a new
+    # generator: the module rank at grade 3 drops, and so does the
+    # normal-form rank
+    records = list(enumerate_shapes(3, 3).records)
+    low = next(rec for rec in records if rec.grade == 2)
+    i = next(i for i, rec in enumerate(records) if rec.grade == 3)
+    records[i] = dataclasses.replace(
+        records[i], poly=elementary_symmetric(0, 1, 3, 3) * low.poly)
+    assert module_span_matrix(3, records, 3, 3).rank() < \
+        state_count_series(3, 3, 3).coeff(3)
+    with pytest.raises(IncompletenessError, match="grade 3"):
+        verify_completeness(3, 3, records)
 
 
 def test_verify_sign_conflict_is_minus_one():
