@@ -1,10 +1,12 @@
 """Command-line surface: polynomial tables, shape generation, artifact
 verification, and state counting.
 
-Exit codes: 0 success, 2 invalid arguments or unreadable or malformed
-input, 3 incomplete enumeration or failed completeness certificate, 4
-histogram mismatch, 5 artifact verification failure.  Data goes to
-stdout, diagnostics to stderr.
+Exit codes: 0 success, 2 invalid arguments, unreadable or malformed
+input or an unwritable output directory, 3 incomplete enumeration or
+failed completeness certificate, 4 histogram mismatch (`gen`) or state
+counts that disagree with direct enumeration (`count --oracle`), 5
+artifact verification failure.  Data goes to stdout, diagnostics to
+stderr.
 """
 
 from __future__ import annotations
@@ -159,10 +161,14 @@ def cmd_gen(args) -> int:
             return EXIT_INCOMPLETE
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "shapes.json").write_text(dumps_document(doc), encoding="utf-8")
-    (out / "tree.dot").write_text(document_to_dot(doc), encoding="utf-8")
-    (out / "report.txt").write_text(report_to_text(result), encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "shapes.json").write_text(dumps_document(doc), encoding="utf-8")
+        (out / "tree.dot").write_text(document_to_dot(doc), encoding="utf-8")
+        (out / "report.txt").write_text(report_to_text(result),
+                                        encoding="utf-8")
+    except OSError as exc:
+        return _fail_usage(f"cannot write artifacts to {out}: {exc}")
     print(
         f"{len(result.records)} shapes, {result.tree.edge_count()} tree "
         f"edges, {len(result.tree.extra_edges)} extra edges -> {out}"
@@ -291,7 +297,7 @@ def cmd_count(args) -> int:
             print(f"{g:4d}  {coeff}")
     if mismatch:
         print("count mismatch against direct enumeration", file=sys.stderr)
-        return 1
+        return EXIT_HISTOGRAM
     return EXIT_OK
 
 

@@ -13,7 +13,9 @@ call.
 
 If the vocabulary fails to fill a grade, the enumerator falls back to
 antisymmetrized occupation sets, which span the full antisymmetric
-space at that grade.  Fallback activations are first-class report data.
+space at that grade; it takes one only when its normal form (see below)
+is new, so the result stays a module basis.  Fallback activations are
+first-class report data.
 
 verify_completeness certifies the final generator set without forming
 a single module product.  The antisymmetric polynomials A are a free
@@ -29,6 +31,17 @@ many shapes and their normal forms are linearly independent (see
 Sturmfels, Algorithms in Invariant Theory, ch. 1).  module_span_matrix,
 the direct rank of the module span, stays as the reference that tests
 compare the certificate against.
+
+express_in_basis computes the decomposition itself by exact elimination
+in occupation-set coordinates.  An antisymmetric polynomial is a sum of
+Slater determinants Alt(rows), one per set of n distinct d-tuples, so it
+is held as one coefficient per set instead of n! monomials, and an
+elementary symmetric generator acts on a set by raising subsets of its
+rows (Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry,
+ch. 2).  R and every shape are homogeneous in each coordinate
+separately, so the linear system splits into independent blocks, one
+per multidegree, and only the blocks the target touches are solved.
+assemble, the way back, multiplies out in the particle variables.
 """
 
 from __future__ import annotations
@@ -51,6 +64,8 @@ from .multipoly import (
     coeff_vector,
     elementary_symmetric,
     slater_basis,
+    slater_coefficients,
+    slater_times_elementary,
     source_shape,
 )
 from .qseries import (
@@ -355,12 +370,24 @@ def enumerate_shapes(
         stats.skipped = len(candidates) - consumed
 
         if stats.found < expected:
+            # an occupation set can extend the span at this grade and still
+            # add nothing modulo the symmetric generators, which would leave
+            # a set that is no module basis; so its normal form must be new
+            # as well, against those of the shapes words found here
+            reducer = _CoinvariantReducer(n, d)
+            nf_registry = MonomialIndex()
+            nf_matrix = SparseIntMatrix()
+            for rec in records:
+                if rec.grade == g:
+                    _extend_normal_forms(reducer, nf_registry, nf_matrix,
+                                         rec.poly)
             filled = 0
             for rows in slater_basis(n, d, g):
                 chi = antisymmetrize(rows)
                 registry.extend_from(chi)
                 matrix.resize(len(registry))
-                if matrix.try_extend(coeff_vector(chi, registry)):
+                if (_extend_normal_forms(reducer, nf_registry, nf_matrix, chi)
+                        and matrix.try_extend(coeff_vector(chi, registry))):
                     prim, cont, sign = chi.normalized()
                     rid = len(records)
                     new = ShapeRecord(
@@ -545,6 +572,15 @@ class _CoinvariantReducer:
         return MPoly(p.n, p.d, terms)
 
 
+def _extend_normal_forms(reducer: _CoinvariantReducer, registry: MonomialIndex,
+                         matrix: SparseIntMatrix, p: MPoly) -> bool:
+    """Add p's normal form to matrix; True iff it extends the span."""
+    nf = reducer.normal_form(p)
+    registry.extend_from(nf)
+    matrix.resize(len(registry))
+    return matrix.try_extend(coeff_vector(nf, registry))
+
+
 def verify_completeness(
     n: int, d: int, records: Sequence[ShapeRecord]
 ) -> list[tuple[int, int, int]]:
@@ -578,10 +614,7 @@ def verify_completeness(
         registry = MonomialIndex()
         matrix = SparseIntMatrix()
         for rec in here:
-            nf = reducer.normal_form(rec.poly)
-            registry.extend_from(nf)
-            matrix.resize(len(registry))
-            matrix.try_extend(coeff_vector(nf, registry))
+            _extend_normal_forms(reducer, registry, matrix, rec.poly)
         results.append((g, expected, matrix.rank()))
         if matrix.rank() != expected:
             raise IncompletenessError(
@@ -635,6 +668,20 @@ def express_in_basis(
     Returns one Phi per record as {generator exponent tuple: coefficient};
     the decomposition is unique and exact.  psi must live at a grade the
     completeness check covers.
+
+    The solve runs in occupation-set coordinates: psi and every product
+    (generator monomial * shape) are antisymmetric, so each is held as its
+    Slater coefficients, and a product is built from the shape's by letting
+    one elementary symmetric generator at a time act on the occupation sets.
+    The products are homogeneous in each coordinate separately, so the
+    system splits into one block per multidegree; only the blocks psi
+    touches are built and solved.
+
+    Records must be antisymmetric, as enumerate_shapes and `shapeforge
+    verify` guarantee, and homogeneous in each coordinate; they are not
+    re-checked in full.  A record whose term count is not n! times its
+    number of occupation sets, or that spans several multidegrees, raises
+    ValueError.
     """
     out: list[dict[tuple, Fraction]] = [{} for _ in records]
     if psi.is_zero():
@@ -647,19 +694,73 @@ def express_in_basis(
     if g > degree_D(d, n):
         raise ValueError(f"grade {g} beyond the verified range")
 
-    recipes = []
-    support: set[tuple] = set(psi.terms)
+    def multidegree(rows: tuple) -> tuple:
+        return tuple(map(sum, zip(*rows)))
+
+    target_sets = slater_coefficients(psi)
+    blocks = {multidegree(rows) for rows in target_sets}
+    shapes: dict[int, tuple[dict[tuple, int], tuple]] = {}
     for idx, rec in enumerate(records):
         if rec.grade > g:
             continue
-        for gexp in generator_monomials(n, d, g - rec.grade):
-            prod = _generator_expansion(n, d, gexp) * rec.poly
-            support.update(prod.terms)
-            recipes.append((prod.leading_monomial(), idx, gexp, prod))
-    registry = MonomialIndex()
-    for mono in sorted(support, reverse=True):
-        registry.add(mono)
-    recipes.sort(key=lambda r: (registry.id_of(r[0]), r[1], r[2]))
+        coeffs = slater_coefficients(rec.poly)
+        if len(rec.poly.terms) != math.factorial(n) * len(coeffs):
+            raise ValueError(f"record {rec.id} is not antisymmetric")
+        degrees = {multidegree(rows) for rows in coeffs}
+        if len(degrees) != 1:
+            raise ValueError(
+                f"record {rec.id} is not homogeneous in each coordinate")
+        shapes[idx] = (coeffs, degrees.pop())
+
+    # generator monomial * shape, by the same recursion as
+    # _generator_expansion; intermediate products are shared between
+    # generator monomials, so they are kept for the rest of the call
+    products: dict[tuple[int, tuple], dict[tuple, int]] = {}
+
+    def product(idx: int, gexp: tuple) -> dict[tuple, int]:
+        got = products.get((idx, gexp))
+        if got is None:
+            i = next((i for i, e in enumerate(gexp) if e), None)
+            if i is None:
+                got = shapes[idx][0]
+            else:
+                reduced = gexp[:i] + (gexp[i] - 1,) + gexp[i + 1:]
+                c, j = divmod(i, n)
+                got = slater_times_elementary(product(idx, reduced), c, j + 1)
+            products[(idx, gexp)] = got
+        return got
+
+    # generator e_j in coordinate c raises that coordinate's degree by j
+    shifts: dict[int, list[tuple[tuple, tuple]]] = {}
+    recipes = []
+    support: set[tuple] = set(target_sets)
+    for idx, (_, degree) in shapes.items():
+        k = g - records[idx].grade
+        if k not in shifts:
+            shifts[k] = [
+                (gexp, tuple(
+                    sum(j * e for j, e in enumerate(gexp[c * n:(c + 1) * n], 1))
+                    for c in range(d)))
+                for gexp in generator_monomials(n, d, k)
+            ]
+        for gexp, shift in shifts[k]:
+            if tuple(map(sum, zip(degree, shift))) not in blocks:
+                continue
+            prod = product(idx, gexp)
+            support.update(prod)
+            recipes.append((idx, gexp, prod))
+    # columns in descending order of the sets' leading monomials, as the
+    # monomial path had them; the leading monomial of Alt(rows) gives the
+    # particles the rows in descending order, so compare reversed sets
+    column = {
+        rows: col for col, rows in enumerate(
+            sorted(support, key=lambda rows: rows[::-1], reverse=True))
+    }
+    recipes = sorted(
+        ((min(column[rows] for rows in prod), idx, gexp, prod)
+         for idx, gexp, prod in recipes),
+        key=lambda r: r[:3],
+    )
 
     # integer fraction-free echelon over the recipe rows; every pivot row
     # remembers the pivots that built it, so exact rational coefficients
@@ -696,7 +797,7 @@ def express_in_basis(
         return vec, scale, used
 
     for ridx, (_, _, _, prod) in enumerate(recipes):
-        vec = {registry.id_of(m): c for m, c in prod.terms.items()}
+        vec = {column[rows]: c for rows, c in prod.items()}
         vec, scale, used = reduce_traced(vec)
         if not vec:
             continue
@@ -709,7 +810,7 @@ def express_in_basis(
             "row": vec, "scale": scale, "recipe": ridx, "used": used,
         }
 
-    target = {registry.id_of(m): c for m, c in psi.terms.items()}
+    target = {column[rows]: c for rows, c in target_sets.items()}
     target, tscale, tused = reduce_traced(target)
     if target:
         raise IncompletenessError("psi is outside the module span")

@@ -46,9 +46,6 @@ class SparseIntMatrix:
             raise ValueError("cannot shrink column space")
         self._ncols = ncols
 
-    def pivot_columns(self) -> list[int]:
-        return sorted(self._pivots)
-
     def _check_columns(self, vec: dict[int, int]):
         if self._ncols is None:
             return

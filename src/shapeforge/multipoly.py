@@ -338,6 +338,65 @@ def _perm_sign(sigma: Sequence[int]) -> int:
     return sign
 
 
+def slater_coefficients(p: MPoly) -> dict[tuple, int]:
+    """Coordinates of an antisymmetric p over the Slater determinants.
+
+    Returns {rows ascending: coefficient} with p == sum(coefficient *
+    antisymmetrize(rows)); the coefficient is that of the monomial whose
+    particle rows ascend.  p must be antisymmetric: nothing here checks
+    it, and the other monomials are simply not read.
+    """
+    n, d = p.n, p.d
+    out = {}
+    for mono, coeff in p.terms.items():
+        rows = tuple(zip(*(mono[c * n:(c + 1) * n] for c in range(d))))
+        if all(a < b for a, b in zip(rows, rows[1:])):
+            out[rows] = coeff
+    return out
+
+
+def slater_times_elementary(coeffs: Mapping[tuple, int], c: int,
+                            j: int) -> dict[tuple, int]:
+    """e_j in the coordinate-c variables times sum(coeff * Alt(rows)), in
+    the Slater coordinates of slater_coefficients.
+
+    e_j is symmetric, so it acts on Alt(rows) as the sum over j-subsets of
+    rows, each raised by one in coordinate c.  A result with two equal rows
+    vanishes; the others are re-sorted and take the sign of that sort.
+    """
+    out: dict[tuple, int] = {}
+    for rows, coeff in coeffs.items():
+        for subset in itertools.combinations(range(len(rows)), j):
+            new = list(rows)
+            for a in subset:
+                r = new[a]
+                new[a] = r[:c] + (r[c] + 1,) + r[c + 1:]
+            sign = _sort_with_sign(new)
+            if sign:
+                key = tuple(new)
+                v = out.get(key, 0) + sign * coeff
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
+
+
+def _sort_with_sign(rows: list) -> int:
+    """Sort rows in place; return the sign of the sorting permutation, or
+    0 when two rows are equal."""
+    sign = 1
+    for i in range(1, len(rows)):
+        k = i
+        while k and rows[k - 1] >= rows[k]:
+            if rows[k - 1] == rows[k]:
+                return 0
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+            sign = -sign
+            k -= 1
+    return sign
+
+
 def slater_basis(n: int, d: int, grade: int) -> list[tuple]:
     """All n-element sets of pairwise distinct d-tuples with total sum
     equal to grade, each set sorted ascending, listed in lexicographic

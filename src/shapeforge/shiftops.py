@@ -29,10 +29,6 @@ class Letter(NamedTuple):
     def amount(self) -> int:
         return abs(self.step)
 
-    @property
-    def is_down(self) -> bool:
-        return self.step < 0
-
 
 class Word(NamedTuple):
     """Letter sequence, applied right to left like operator composition."""

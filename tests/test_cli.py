@@ -116,6 +116,25 @@ def test_gen_rejects_bad_arguments(capsys, argv):
     assert "error:" in err
 
 
+def test_gen_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    rc, out, err = run(capsys, "gen", "-N", "1", "-d", "3",
+                       "--out", str(target))
+    assert rc == 2
+    assert err.startswith("error: cannot write artifacts to")
+    assert len(err.strip().splitlines()) == 1
+    assert target.read_text() == "not a directory"
+
+
+def test_gen_fallback_run_passes_certificate(tmp_path, capsys):
+    rc, out, _ = run(capsys, "gen", "-N", "3", "-d", "3", "--max-letters",
+                     "1", "--out", str(tmp_path))
+    assert rc == 0
+    assert "36 shapes" in out
+    assert (tmp_path / "shapes.json").is_file()
+
+
 def test_gen_threads_env_overrides_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SHAPE_FORGE_THREADS", "3")
     rc, _, _ = run(capsys, "gen", "-N", "1", "-d", "3",
@@ -305,6 +324,15 @@ def test_count_oracle_column_agrees(capsys):
     rows = [line.split() for line in out.splitlines()]
     assert [(int(r[1]), int(r[2])) for r in rows] == [
         (0, 0), (1, 1), (1, 1), (2, 2), (2, 2)]
+
+
+def test_count_oracle_mismatch_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr("shapeforge.cli.slater_basis",
+                        lambda n, d, g: [None] * (g + 7))
+    rc, _, err = run(capsys, "count", "-N", "2", "-d", "1", "-g", "2",
+                     "--oracle")
+    assert rc == 4
+    assert "count mismatch" in err
 
 
 def test_count_rejects_negative_grade(capsys):

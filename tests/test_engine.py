@@ -28,6 +28,7 @@ from shapeforge.multipoly import (
     OddDimensionRequiredError,
     antisymmetrize,
     elementary_symmetric,
+    slater_coefficients,
     source_shape,
 )
 from shapeforge.qseries import (
@@ -237,6 +238,15 @@ def test_fallback_large_run_keeps_histogram():
     assert result.report.annihilation_warnings
 
 
+def test_fallback_under_crippled_vocabulary_is_certified():
+    # the oracle takes an occupation set only when its normal form is new,
+    # so even a one-letter vocabulary ends in a module basis
+    result = enumerate_shapes(3, 3, EngineConfig(max_letters=1))
+    poly = shape_poly(3, 3, Statistics.FERMION)
+    assert verify_completeness(3, 3, result.records) == [
+        (g, poly.coeff(g), poly.coeff(g)) for g in range(10)]
+
+
 # --- module span and completeness --------------------------------------------
 
 def test_module_span_matrix_source_alone_has_rank_one():
@@ -361,6 +371,39 @@ def test_express_round_trip_random_combinations():
             phis = express_in_basis(psi, records, n, d)
             assert phis == built
             assert assemble(records, phis, n, d) == psi
+
+
+def test_express_round_trip_grade_8_several_multidegrees():
+    rng = random.Random(8)
+    records = enumerate_shapes(3, 3).records
+    built = [dict() for _ in records]
+    for i in rng.sample([i for i, rec in enumerate(records)
+                         if rec.grade <= 8], 6):
+        monos = generator_monomials(3, 3, 8 - records[i].grade)
+        for gexp in rng.sample(monos, min(2, len(monos))):
+            built[i][gexp] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    psi = assemble(records, built, 3, 3)
+    blocks = {tuple(map(sum, zip(*rows))) for rows in slater_coefficients(psi)}
+    assert len(blocks) > 1
+    assert express_in_basis(psi, records, 3, 3) == built
+
+
+def test_express_rejects_malformed_records():
+    records = list(enumerate_shapes(2, 3).records)
+    psi = source_shape(2, 3)
+    i = next(i for i, rec in enumerate(records) if rec.grade == 1)
+    # one monomial: too few terms for the occupation sets it has
+    lone = MPoly(2, 3, {(0, 1, 0, 0, 0, 0): 1})
+    bad = list(records)
+    bad[i] = dataclasses.replace(records[i], poly=lone)
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        express_in_basis(psi, bad, 2, 3)
+    # antisymmetric and of total degree 1, but in two multidegrees
+    mixed = (antisymmetrize([(0, 0, 0), (1, 0, 0)])
+             + antisymmetrize([(0, 0, 0), (0, 1, 0)]))
+    bad[i] = dataclasses.replace(records[i], poly=mixed)
+    with pytest.raises(ValueError, match="homogeneous in each coordinate"):
+        express_in_basis(psi, bad, 2, 3)
 
 
 def test_express_rejects_bad_inputs():

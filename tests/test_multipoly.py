@@ -13,6 +13,8 @@ from shapeforge.multipoly import (
     coeff_vector,
     elementary_symmetric,
     slater_basis,
+    slater_coefficients,
+    slater_times_elementary,
     source_shape,
     vandermonde,
 )
@@ -323,3 +325,43 @@ def test_extend_from_orders_by_monomial_not_history():
     ia.extend_from(p)
     ib.extend_from(q)
     assert list(ia.monomials()) == list(ib.monomials())
+
+
+def _random_slater_combination(rng, n, d, sets=3):
+    coeffs = {}
+    while len(coeffs) < sets:
+        rows = set()
+        while len(rows) < n:
+            rows.add(tuple(rng.randrange(3) for _ in range(d)))
+        coeffs[tuple(sorted(rows))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return coeffs
+
+
+def test_slater_coefficients_round_trip_through_antisymmetrize():
+    rng = random.Random(11)
+    for n, d in ((1, 3), (2, 3), (3, 3), (2, 5), (3, 2)):
+        for _ in range(5):
+            coeffs = _random_slater_combination(rng, n, d)
+            p = MPoly.zero(n, d)
+            for rows, c in coeffs.items():
+                p = p + antisymmetrize(rows).scale(c)
+            assert slater_coefficients(p) == coeffs
+    assert slater_coefficients(source_shape(3, 3))
+    assert slater_coefficients(MPoly.zero(2, 3)) == {}
+
+
+def test_slater_times_elementary_matches_product():
+    rng = random.Random(12)
+    for n, d in ((3, 3), (2, 5)):
+        for _ in range(6):
+            coeffs = _random_slater_combination(rng, n, d, sets=2)
+            p = MPoly.zero(n, d)
+            for rows, c in coeffs.items():
+                p = p + antisymmetrize(rows).scale(c)
+            for c in range(d):
+                for j in range(1, n + 1):
+                    got = slater_times_elementary(coeffs, c, j)
+                    want = elementary_symmetric(c, j, n, d) * p
+                    assert got == slater_coefficients(want), (n, d, c, j)
+                    # collisions drop out, so nothing but nonzero sets remain
+                    assert all(got.values())
