@@ -49,17 +49,6 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _parallelism(flag_value: int) -> int | None:
-    """Env var SHAPE_FORGE_THREADS overrides the command-line value."""
-    env = os.environ.get("SHAPE_FORGE_THREADS")
-    if env is None:
-        return max(1, flag_value)
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shapeforge",
@@ -85,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--max-drop", type=int, default=4)
     g.add_argument("--exhaustive", action="store_true",
                    help="keep scanning a grade after it has filled")
-    g.add_argument("--threads", type=int, default=1)
     g.add_argument("--no-verify", action="store_true",
                    help="skip the completeness certificate")
 
@@ -124,15 +112,11 @@ def cmd_gen(args) -> int:
         return _fail_usage("generation requires odd d")
     if min(args.max_letters, args.max_amount, args.max_drop) < 1:
         return _fail_usage("vocabulary bounds must be positive")
-    threads = _parallelism(args.threads)
-    if threads is None:
-        return _fail_usage("SHAPE_FORGE_THREADS must be an integer")
     config = EngineConfig(
         max_letters=args.max_letters,
         max_amount=args.max_amount,
         max_drop=args.max_drop,
         exhaustive=args.exhaustive,
-        parallelism=threads,
     )
     try:
         result = enumerate_shapes(args.N, args.d, config)
@@ -160,14 +144,25 @@ def cmd_gen(args) -> int:
             print(f"completeness check failed: {exc}", file=sys.stderr)
             return EXIT_INCOMPLETE
 
+    # each artifact goes to a temp file first and is renamed into place,
+    # shapes.json last, so no failure leaves a partial or stray shapes.json
+    texts = {
+        "tree.dot": document_to_dot(doc),
+        "report.txt": report_to_text(result),
+        "shapes.json": dumps_document(doc),
+    }
     out = Path(args.out)
+    temps = {name: out / f".{name}.tmp" for name in texts}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "shapes.json").write_text(dumps_document(doc), encoding="utf-8")
-        (out / "tree.dot").write_text(document_to_dot(doc), encoding="utf-8")
-        (out / "report.txt").write_text(report_to_text(result),
-                                        encoding="utf-8")
+        for name, text in texts.items():
+            temps[name].write_text(text, encoding="utf-8")
+        for name, tmp in temps.items():
+            os.replace(tmp, out / name)
     except OSError as exc:
+        for tmp in temps.values():
+            if tmp.is_file():
+                tmp.unlink()
         return _fail_usage(f"cannot write artifacts to {out}: {exc}")
     print(
         f"{len(result.records)} shapes, {result.tree.edge_count()} tree "

@@ -41,7 +41,12 @@ rows (Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry,
 ch. 2).  R and every shape are homogeneous in each coordinate
 separately, so the linear system splits into independent blocks, one
 per multidegree, and only the blocks the target touches are solved.
-assemble, the way back, multiplies out in the particle variables.
+The solve is exactla's one reduction kernel on an augmented matrix:
+each product row carries a unit column of its own past the occupation
+sets, so the target's residual names the products that build it.  The
+shapes must be a basis, so the products are independent and every row
+pivots on an occupation set.  assemble, the way back, multiplies out in
+the particle variables.
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ class EngineConfig:
     max_amount: int = 3
     max_drop: int = 4
     exhaustive: bool = False   # keep scanning a grade after it has filled
-    parallelism: int = 1       # recorded in the report; evaluation is sequential
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,6 @@ class RunReport:
     n: int
     d: int
     vocabulary_size: int
-    parallelism: int
     per_grade: dict[int, GradeStats]
     fallback_events: list[tuple[int, int]] = field(default_factory=list)
     decisions: list[tuple] = field(default_factory=list)
@@ -235,28 +238,15 @@ class EnumerationResult:
 
 # --- descent ---------------------------------------------------------------
 
-def _annihilated(p: MPoly, d: int) -> bool:
-    return all(
-        apply_symword(SymWord(Word((Letter(c, -1),))), p).is_zero()
-        for c in range(d)
-    )
-
-
-def _check_annihilation(rec: ShapeRecord, n: int, d: int,
-                        warnings: list[tuple[int, int]], hard: bool):
-    # every shape must vanish under each symmetrized unit lowering; word
-    # acceptance filters for this, so descent shapes satisfy it by
-    # construction and only oracle fills can trip it (warn only: the
-    # oracle trades the invariant for guaranteed span coverage)
-    for c in range(d):
-        if not apply_symword(SymWord(Word((Letter(c, -1),))), rec.poly).is_zero():
-            if hard and n <= 3:
-                raise AssertionError(
-                    f"shape {rec.id} survives unit lowering on coordinate {c}"
-                )
-            logger.warning("shape %d survives unit lowering on coordinate %d",
-                           rec.id, c)
-            warnings.append((rec.id, c))
+def _surviving_coordinates(p: MPoly, lowerings: Sequence[SymWord]):
+    """Yield each coordinate whose symmetrized unit lowering leaves p
+    nonzero.  Every shape vanishes under all of them: the descent rejects
+    candidates that survive one, and the root must not; only oracle fills
+    may survive (they trade the invariant for guaranteed span coverage),
+    which is reported as a warning."""
+    for c, w in enumerate(lowerings):
+        if not apply_symword(w, p).is_zero():
+            yield c
 
 
 def enumerate_shapes(
@@ -279,10 +269,8 @@ def enumerate_shapes(
         by_net.setdefault(w.net_grade(), []).append((widx, w))
 
     per_grade = {top: GradeStats(expected=1, found=1)}
-    report = RunReport(
-        n=n, d=d, vocabulary_size=len(vocab), parallelism=config.parallelism,
-        per_grade=per_grade,
-    )
+    report = RunReport(n=n, d=d, vocabulary_size=len(vocab),
+                       per_grade=per_grade)
 
     src = source_shape(n, d)
     records = [
@@ -290,8 +278,12 @@ def enumerate_shapes(
                     shape_entropy(n, d, top))
     ]
     tree = BranchingTree(root=0, edges={}, extra_edges=[])
-    _check_annihilation(records[0], n, d, report.annihilation_warnings,
-                        hard=True)
+    lowerings = [SymWord(Word((Letter(c, -1),))) for c in range(d)]
+    survivor = next(_surviving_coordinates(src, lowerings), None)
+    if survivor is not None:
+        raise AssertionError(
+            f"the source shape survives unit lowering on coordinate {survivor}"
+        )
 
     # fingerprints of accepted shapes at the grade being processed,
     # used to tag rejected candidates that reproduce a known shape
@@ -321,9 +313,7 @@ def enumerate_shapes(
                 stats.zero += 1
                 report.decisions.append((g, rec.id, widx, "zero", None))
                 continue
-            if not _annihilated(chi, d):
-                # shapes vanish under every symmetrized unit lowering, so a
-                # candidate that survives one is not a shape representative
+            if next(_surviving_coordinates(chi, lowerings), None) is not None:
                 stats.survived += 1
                 report.decisions.append((g, rec.id, widx, "survives", None))
                 continue
@@ -402,9 +392,10 @@ def enumerate_shapes(
                     stats.found += 1
                     stats.fallback += 1
                     filled += 1
-                    _check_annihilation(new, n, d,
-                                        report.annihilation_warnings,
-                                        hard=False)
+                    for c in _surviving_coordinates(prim, lowerings):
+                        logger.warning("shape %d survives unit lowering on "
+                                       "coordinate %d", rid, c)
+                        report.annihilation_warnings.append((rid, c))
                     if stats.found == expected:
                         break
             report.fallback_events.append((g, filled))
@@ -675,7 +666,13 @@ def express_in_basis(
     one elementary symmetric generator at a time act on the occupation sets.
     The products are homogeneous in each coordinate separately, so the
     system splits into one block per multidegree; only the blocks psi
-    touches are built and solved.
+    touches are built and solved.  They are reduced in one
+    SparseIntMatrix, each with an extra unit column past the occupation
+    sets, and psi's residual reads the coefficients off those columns.
+
+    Records must be a basis (verify_completeness certifies it): then the
+    products are independent and the coefficients unique.  psi outside
+    their span raises IncompletenessError.
 
     Records must be antisymmetric, as enumerate_shapes and `shapeforge
     verify` guarantee, and homogeneous in each coordinate; they are not
@@ -762,91 +759,24 @@ def express_in_basis(
         key=lambda r: r[:3],
     )
 
-    # integer fraction-free echelon over the recipe rows; every pivot row
-    # remembers the pivots that built it, so exact rational coefficients
-    # are recovered afterwards for just the rows the target touches
-    pivots: dict[int, dict] = {}
-
-    def reduce_traced(vec: dict[int, int]):
-        # invariant: vec == scale * original - sum(used[c] * pivot_row_c)
-        scale = 1
-        used: dict[int, int] = {}
-        while vec:
-            col = min(vec)
-            entry = pivots.get(col)
-            if entry is None:
-                break
-            prow = entry["row"]
-            a = vec[col]
-            p = prow[col]
-            g = math.gcd(p, a)
-            pm, am = p // g, a // g
-            if pm != 1:
-                for c in vec:
-                    vec[c] *= pm
-                for c in used:
-                    used[c] *= pm
-                scale *= pm
-            for c, rc in prow.items():
-                new = vec.get(c, 0) - am * rc
-                if new:
-                    vec[c] = new
-                else:
-                    vec.pop(c, None)
-            used[col] = am
-        return vec, scale, used
-
-    for ridx, (_, _, _, prod) in enumerate(recipes):
+    # one row per recipe, with a unit column of its own past the
+    # occupation sets; psi's residual then holds -x_r in recipe r's unit
+    # column and s in psi's, where s * psi == sum_r x_r * recipe_r
+    ncols = len(column)
+    matrix = SparseIntMatrix()
+    for r, (_, _, _, prod) in enumerate(recipes):
         vec = {column[rows]: c for rows, c in prod.items()}
-        vec, scale, used = reduce_traced(vec)
-        if not vec:
-            continue
-        g = math.gcd(scale, *vec.values(), *used.values())
-        if g > 1:
-            vec = {c: x // g for c, x in vec.items()}
-            used = {c: x // g for c, x in used.items()}
-            scale //= g
-        pivots[min(vec)] = {
-            "row": vec, "scale": scale, "recipe": ridx, "used": used,
-        }
-
+        vec[ncols + r] = 1
+        matrix.try_extend(vec)
     target = {column[rows]: c for rows, c in target_sets.items()}
-    target, tscale, tused = reduce_traced(target)
-    if target:
+    target[ncols + len(recipes)] = 1
+    residual = matrix.reduce(target)
+    if min(residual) < ncols:
         raise IncompletenessError("psi is outside the module span")
-
-    # pivot_row_c == scale_c * recipe_c - sum(used_c[c2] * pivot_row_c2),
-    # acyclic by ascending column, so ascending expansion stays integral
-    needed: set[int] = set()
-    stack = list(tused)
-    while stack:
-        c = stack.pop()
-        if c not in needed:
-            needed.add(c)
-            stack.extend(pivots[c]["used"])
-    combos: dict[int, dict[int, int]] = {}
-    for col in sorted(needed):
-        entry = pivots[col]
-        acc = {entry["recipe"]: entry["scale"]}
-        for c2, k in entry["used"].items():
-            for r, x in combos[c2].items():
-                v = acc.get(r, 0) - k * x
-                if v:
-                    acc[r] = v
-                else:
-                    acc.pop(r, None)
-        combos[col] = acc
-    flat: dict[int, int] = {}
-    for c, k in tused.items():
-        for r, x in combos[c].items():
-            v = flat.get(r, 0) + k * x
-            if v:
-                flat[r] = v
-            else:
-                flat.pop(r, None)
-    for r, x in flat.items():
-        _, idx, gexp, _ = recipes[r]
-        out[idx][gexp] = Fraction(x, tscale)
+    scale = residual.pop(ncols + len(recipes))
+    for col, x in residual.items():
+        _, idx, gexp, _ = recipes[col - ncols]
+        out[idx][gexp] = Fraction(-x, scale)
     return out
 
 

@@ -1,18 +1,20 @@
-"""Incremental exact rank and span-membership over the integers.
+"""Incremental exact rank, span membership and reduction over the integers.
 
 Rows are sparse integer vectors (dict column -> nonzero coefficient).
 The matrix keeps an echelon of primitive rows, one per pivot column,
 where each row's pivot is its smallest occupied column.  Candidates are
 reduced fraction-free: v <- (p/g) * v - (a/g) * pivot_row with
-g = gcd(p, a), then divided by their content, so every intermediate
-stays an integer and coefficient growth stays bounded.
+g = gcd(p, a), so every intermediate stays an integer, and the residual
+is divided by its content once, at the end.
 
-Reduction scans pivot columns in ascending order.  A pivot row only
-occupies columns at or after its pivot, so one pass eliminates every
-pivot column from the candidate.
-
-Scope is deliberately narrow: rank and membership only.  No
-determinants, no solving, no null spaces.
+Reduction eliminates the candidate's smallest column again and again.
+A pivot row only occupies columns at or after its pivot, so it stops at
+the first column without a pivot: no pivot row can clear that column,
+and the candidate is known to lie outside the span.  reduce returns that
+residual, an integer combination s * vec - sum(c_i * row_i) with s != 0.
+Giving every row a unit column of its own past the real ones therefore
+turns reduce into an exact solver: the residual's unit columns record
+the combination of rows it took (engine.express_in_basis works so).
 """
 
 from __future__ import annotations
@@ -55,13 +57,17 @@ class SparseIntMatrix:
                     f"column {col} outside 0..{self._ncols - 1}"
                 )
 
-    def _reduce(self, vec: dict[int, int]) -> dict[int, int]:
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """The primitive residual of vec against the echelon (see the
+        module docstring); empty exactly when vec lies in the span."""
+        self._check_columns(vec)
         v = {c: x for c, x in vec.items() if x}
-        for col in sorted(self._pivots):
-            a = v.get(col)
-            if not a:
-                continue
-            row = self._pivots[col]
+        while v:
+            col = min(v)
+            row = self._pivots.get(col)
+            if row is None:
+                break
+            a = v[col]
             p = row[col]
             g = math.gcd(p, a)
             pm, am = p // g, a // g
@@ -74,18 +80,16 @@ class SparseIntMatrix:
                     v[c] = new
                 else:
                     v.pop(c, None)
-            _divide_by_content(v)
+        _divide_by_content(v)
         return v
 
     def try_extend(self, vec: dict[int, int]) -> bool:
         """Reduce vec against the echelon.  If anything survives, commit the
         primitive residual as a new pivot row and return True; return False
         when vec already lies in the span (including the zero vector)."""
-        self._check_columns(vec)
-        residual = self._reduce(vec)
+        residual = self.reduce(vec)
         if not residual:
             return False
-        _divide_by_content(residual)
         pivot = min(residual)
         if residual[pivot] < 0:
             residual = {c: -x for c, x in residual.items()}
@@ -94,8 +98,7 @@ class SparseIntMatrix:
 
     def contains(self, vec: dict[int, int]) -> bool:
         """Span membership without modifying the matrix."""
-        self._check_columns(vec)
-        return not self._reduce(vec)
+        return not self.reduce(vec)
 
 
 def _divide_by_content(v: dict[int, int]):

@@ -294,7 +294,7 @@ def report_to_text(result: EnumerationResult) -> str:
     rep: RunReport = result.report
     lines = [
         f"shapes: {len(result.records)} for n={result.n} d={result.d}",
-        f"vocabulary: {rep.vocabulary_size} words, parallelism {rep.parallelism}",
+        f"vocabulary: {rep.vocabulary_size} words",
         f"elapsed: {rep.elapsed:.3f}s",
         f"tree edges: {result.tree.edge_count()}, "
         f"extra edges: {len(result.tree.extra_edges)}",

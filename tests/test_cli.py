@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,6 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("SHAPE_FORGE_THREADS", raising=False)
 
 
 # --- poly ----------------------------------------------------------------
@@ -89,6 +86,19 @@ def test_gen_artifacts_are_byte_stable(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+GOLDENS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("command", GOLDENS)
+def test_gen_artifacts_match_goldens(tmp_path, capsys, command):
+    assert run(capsys, *command.split(), "--out", str(tmp_path))[0] == 0
+    for name, digest in GOLDENS[command].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
+
+
 def test_gen_report_mentions_vocabulary_and_grades(tmp_path, capsys):
     run(capsys, "gen", "-N", "2", "-d", "3", "--out", str(tmp_path))
     report = (tmp_path / "report.txt").read_text()
@@ -109,6 +119,7 @@ def test_gen_dot_lists_every_shape(tmp_path, capsys):
     ("gen", "-N", "0", "-d", "3"),
     ("gen", "-N", "2", "-d", "2"),
     ("gen", "-N", "2", "-d", "3", "--max-letters", "0"),
+    ("gen", "-N", "2", "-d", "3", "--threads", "2"),
 ])
 def test_gen_rejects_bad_arguments(capsys, argv):
     rc, _, err = run(capsys, *argv)
@@ -135,20 +146,14 @@ def test_gen_fallback_run_passes_certificate(tmp_path, capsys):
     assert (tmp_path / "shapes.json").is_file()
 
 
-def test_gen_threads_env_overrides_flag(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SHAPE_FORGE_THREADS", "3")
-    rc, _, _ = run(capsys, "gen", "-N", "1", "-d", "3",
-                   "--out", str(tmp_path), "--threads", "1")
-    assert rc == 0
-    assert "parallelism 3" in (tmp_path / "report.txt").read_text()
-
-
-def test_gen_threads_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SHAPE_FORGE_THREADS", "many")
-    rc, _, err = run(capsys, "gen", "-N", "1", "-d", "3",
+def test_gen_failed_write_leaves_no_artifact(tmp_path, capsys):
+    # a directory where tree.dot belongs makes its rename fail
+    (tmp_path / "tree.dot").mkdir()
+    rc, _, err = run(capsys, "gen", "-N", "2", "-d", "3",
                      "--out", str(tmp_path))
     assert rc == 2
-    assert "SHAPE_FORGE_THREADS" in err
+    assert err.startswith("error: cannot write artifacts to")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.dot"]
 
 
 def test_gen_histogram_mismatch_exit_code(tmp_path, capsys, monkeypatch):

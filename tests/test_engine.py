@@ -12,8 +12,8 @@ import pytest
 from shapeforge.engine import (
     EngineConfig,
     IncompletenessError,
-    _annihilated,
     _CoinvariantReducer,
+    _surviving_coordinates,
     assemble,
     build_vocabulary,
     enumerate_shapes,
@@ -166,6 +166,7 @@ def test_descent_candidate_accounting():
 
 def test_accepted_shapes_are_canonical():
     result = enumerate_shapes(3, 3)
+    lowerings = [symword((c, -1)) for c in range(3)]
     for rec in result.records:
         assert not rec.poly.is_zero()
         assert rec.poly.is_homogeneous()
@@ -173,7 +174,7 @@ def test_accepted_shapes_are_canonical():
         assert rec.poly.is_antisymmetric()
         prim, content, sign = rec.poly.normalized()
         assert (prim, content, sign) == (rec.poly, 1, 1)
-        assert _annihilated(rec.poly, 3)
+        assert list(_surviving_coordinates(rec.poly, lowerings)) == []
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 3)])
@@ -404,6 +405,15 @@ def test_express_rejects_malformed_records():
     bad[i] = dataclasses.replace(records[i], poly=mixed)
     with pytest.raises(ValueError, match="homogeneous in each coordinate"):
         express_in_basis(psi, bad, 2, 3)
+
+
+def test_express_outside_the_span_is_incomplete():
+    # without one grade-1 shape the rest cannot build it
+    records = enumerate_shapes(2, 3).records
+    i = next(i for i, rec in enumerate(records) if rec.grade == 1)
+    rest = records[:i] + records[i + 1:]
+    with pytest.raises(IncompletenessError, match="outside the module span"):
+        express_in_basis(records[i].poly, rest, 2, 3)
 
 
 def test_express_rejects_bad_inputs():

@@ -124,6 +124,34 @@ def test_integer_combinations_are_members():
         assert m.try_extend(combo) is False
 
 
+def test_reduce_with_unit_columns_solves():
+    # rows get unit columns past the real ones, so the residual of a
+    # member records s * target == sum_r x_r * row_r with x_r = -res[N + r]
+    rng = random.Random(4242)
+    for _ in range(30):
+        ncols = rng.randrange(2, 7)
+        rows = [
+            {c: rng.randrange(-4, 5) for c in range(ncols) if rng.random() < 0.6}
+            for _ in range(rng.randrange(1, 6))
+        ]
+        rows = [{c: x for c, x in r.items() if x} for r in rows]
+        m = SparseIntMatrix()
+        for r, row in enumerate(rows):
+            m.try_extend({**row, ncols + r: 1})
+        target: dict[int, int] = {}
+        for row in rows:
+            k = rng.randrange(-3, 4)
+            for c, x in row.items():
+                target[c] = target.get(c, 0) + k * x
+        res = m.reduce({**target, ncols + len(rows): 1})
+        assert min(res) >= ncols
+        s = res[ncols + len(rows)]
+        for c in range(ncols):
+            built = sum(-res.get(ncols + r, 0) * row.get(c, 0)
+                        for r, row in enumerate(rows))
+            assert built == s * target.get(c, 0)
+
+
 def test_big_integer_exactness():
     # values large enough that any float shortcut would lose digits
     big = 10 ** 30
