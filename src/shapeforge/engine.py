@@ -6,10 +6,20 @@ elementary symmetric generators) and the Psi_i are the shapes: one
 generator per grade counted by the shape polynomial.  The enumerator
 walks grades downward from the single top-grade generator, applying a
 vocabulary of symmetrized lowering words to every shape found so far.
-A candidate is a new shape when it is nonzero, antisymmetric, and
-extends the exact span of the shapes already accepted at its grade;
-everything is integer arithmetic, so acceptance is never a judgement
-call.
+A candidate is a new shape when it is nonzero, is annihilated by every
+symmetrized unit lowering, and extends the exact span of the shapes
+already accepted at its grade; everything is integer arithmetic, so
+acceptance is never a judgement call.
+
+The descent runs in occupation-set coordinates.  An antisymmetric
+polynomial is a sum of Slater determinants Alt(rows), one per set of n
+distinct d-tuples, so every shape and candidate is held as one
+coefficient per set instead of n! monomials.  A symmetrized word is a
+one-body operator and acts on one row of a set at a time
+(shiftops.apply_symword_slater), so antisymmetry holds by construction
+and is never re-checked; the span matrix has one column per set, and
+content and sign come from the set coefficients.  Only accepted shapes
+are expanded into the particle variables.
 
 If the vocabulary fails to fill a grade, the enumerator falls back to
 antisymmetrized occupation sets, which span the full antisymmetric
@@ -33,11 +43,10 @@ the direct rank of the module span, stays as the reference that tests
 compare the certificate against.
 
 express_in_basis computes the decomposition itself by exact elimination
-in occupation-set coordinates.  An antisymmetric polynomial is a sum of
-Slater determinants Alt(rows), one per set of n distinct d-tuples, so it
-is held as one coefficient per set instead of n! monomials, and an
-elementary symmetric generator acts on a set by raising subsets of its
-rows (Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry,
+in the same occupation-set coordinates, reading each shape's set
+coefficients from its record (ShapeRecord.slater).  An elementary
+symmetric generator acts on a set by raising subsets of its rows
+(Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry,
 ch. 2).  R and every shape are homogeneous in each coordinate
 separately, so the linear system splits into independent blocks, one
 per multidegree, and only the blocks the target touches are solved.
@@ -70,7 +79,9 @@ from .multipoly import (
     elementary_symmetric,
     slater_basis,
     slater_coefficients,
+    slater_normalized,
     slater_times_elementary,
+    slater_to_poly,
     source_shape,
 )
 from .qseries import (
@@ -80,7 +91,7 @@ from .qseries import (
     shape_entropy,
     shape_poly,
 )
-from .shiftops import Letter, SymWord, Word, apply_symword
+from .shiftops import Letter, SymWord, Word, apply_symword, apply_symword_slater
 
 logger = logging.getLogger(__name__)
 
@@ -128,26 +139,33 @@ def build_vocabulary(d: int, config: EngineConfig = EngineConfig()) -> Vocabular
     nonempty coordinate subset, concatenated in descending coordinate
     order, within the letter-count and net-drop bounds.  Ordered by
     (|net|, length, letters); single amount-1 lowerings are included but
-    the descent skips them since they annihilate every shape."""
+    the descent skips them since they annihilate every shape.
+
+    Every atom has at least one letter and a net drop of at least one, so
+    the words are grown one coordinate at a time, in descending order, and
+    a branch stops once its letter budget or its drop budget is spent."""
     if d < 1:
         raise ValueError("d must be positive")
     if config.max_letters < 1 or config.max_amount < 1 or config.max_drop < 1:
         raise ValueError("vocabulary bounds must be positive")
+    atoms = [
+        [(atom, sum(l.step for l in atom))
+         for atom in _coordinate_atoms(c, config)]
+        for c in range(d)
+    ]
     words = []
-    for r in range(1, d + 1):
-        for coords in itertools.combinations(range(d), r):
-            atom_sets = [_coordinate_atoms(c, config) for c in coords]
-            for chosen in itertools.product(*atom_sets):
-                letters = tuple(
-                    l for atom in sorted(chosen, key=lambda a: -a[0].coordinate)
-                    for l in atom
-                )
-                if len(letters) > config.max_letters:
+
+    def grow(below: int, letters: tuple[Letter, ...], net: int):
+        for c in range(below - 1, -1, -1):
+            for atom, drop in atoms[c]:
+                longer = letters + atom
+                if (len(longer) > config.max_letters
+                        or net + drop < -config.max_drop):
                     continue
-                net = sum(l.step for l in letters)
-                if not -config.max_drop <= net <= -1:
-                    continue
-                words.append(SymWord(Word(letters)))
+                words.append(SymWord(Word(longer)))
+                grow(c, longer, net + drop)
+
+    grow(d, (), 0)
     words.sort(key=lambda w: (-w.net_grade(), len(w.word.letters), w.word.letters))
     return Vocabulary(d=d, config=config, words=tuple(words))
 
@@ -179,6 +197,34 @@ class ShapeRecord:
     poly: MPoly                     # primitive, positive leading coefficient
     provenance: Provenance
     entropy: float
+
+    @functools.cached_property
+    def slater(self) -> dict[tuple, int]:
+        """poly's Slater coefficients {rows ascending: coefficient}.
+
+        enumerate_shapes seeds them; otherwise they are read off poly once,
+        with cheap guards: a term count other than n! times the number of
+        occupation sets (not antisymmetric), or more than one multidegree,
+        raises ValueError.
+        """
+        coeffs = slater_coefficients(self.poly)
+        if len(self.poly.terms) != math.factorial(self.poly.n) * len(coeffs):
+            raise ValueError(f"record {self.id} is not antisymmetric")
+        if len({_multidegree(rows) for rows in coeffs}) != 1:
+            raise ValueError(
+                f"record {self.id} is not homogeneous in each coordinate")
+        return coeffs
+
+
+def _multidegree(rows: tuple) -> tuple:
+    """Degree in each coordinate of Alt(rows)."""
+    return tuple(map(sum, zip(*rows)))
+
+
+def _with_slater(rec: ShapeRecord, coeffs: dict[tuple, int]) -> ShapeRecord:
+    """Seed rec.slater with coefficients known by construction."""
+    vars(rec)["slater"] = coeffs
+    return rec
 
 
 @dataclass
@@ -238,14 +284,16 @@ class EnumerationResult:
 
 # --- descent ---------------------------------------------------------------
 
-def _surviving_coordinates(p: MPoly, lowerings: Sequence[SymWord]):
-    """Yield each coordinate whose symmetrized unit lowering leaves p
-    nonzero.  Every shape vanishes under all of them: the descent rejects
-    candidates that survive one, and the root must not; only oracle fills
-    may survive (they trade the invariant for guaranteed span coverage),
-    which is reported as a warning."""
+def _surviving_coordinates(coeffs: dict[tuple, int],
+                           lowerings: Sequence[SymWord]):
+    """Yield each coordinate whose symmetrized unit lowering leaves the
+    polynomial with these Slater coefficients nonzero.  Every shape
+    vanishes under all of them: the descent rejects candidates that
+    survive one, and the root must not; only oracle fills may survive
+    (they trade the invariant for guaranteed span coverage), which is
+    reported as a warning."""
     for c, w in enumerate(lowerings):
-        if not apply_symword(w, p).is_zero():
+        if apply_symword_slater(w, coeffs):
             yield c
 
 
@@ -273,29 +321,42 @@ def enumerate_shapes(
                        per_grade=per_grade)
 
     src = source_shape(n, d)
-    records = [
+    records = [_with_slater(
         ShapeRecord(0, top, src, Provenance(kind="root"),
-                    shape_entropy(n, d, top))
-    ]
+                    shape_entropy(n, d, top)),
+        slater_coefficients(src))]
     tree = BranchingTree(root=0, edges={}, extra_edges=[])
     lowerings = [SymWord(Word((Letter(c, -1),))) for c in range(d)]
-    survivor = next(_surviving_coordinates(src, lowerings), None)
+    survivor = next(_surviving_coordinates(records[0].slater, lowerings), None)
     if survivor is not None:
         raise AssertionError(
             f"the source shape survives unit lowering on coordinate {survivor}"
         )
+    _log_grade(top, per_grade[top], t0)
 
-    # fingerprints of accepted shapes at the grade being processed,
-    # used to tag rejected candidates that reproduce a known shape
+    def accept(g: int, prim: dict[tuple, int], provenance: Provenance) -> int:
+        rid = len(records)
+        records.append(_with_slater(
+            ShapeRecord(rid, g, slater_to_poly(prim, n, d), provenance,
+                        shape_entropy(n, d, g)),
+            prim))
+        return rid
+
     for g in range(top - 1, bottom - 1, -1):
+        started = time.perf_counter()
         expected = poly.coeff(g)
         stats = GradeStats(expected=expected)
         per_grade[g] = stats
         if expected == 0:
+            _log_grade(g, stats, started)
             continue
-        registry = MonomialIndex()
+        # one column per occupation set: every candidate is antisymmetric
+        # by construction, so its Slater coefficients determine it
+        columns: dict[tuple, int] = {}
         matrix = SparseIntMatrix()
-        accepted_here: dict[tuple[int, tuple], list[int]] = {}
+        # accepted shapes at this grade by their Slater coefficients, to
+        # tag rejected candidates that reproduce a known shape
+        accepted_here: dict[frozenset, int] = {}
         candidates = [
             (rec, widx, w)
             for rec in records
@@ -308,8 +369,8 @@ def enumerate_shapes(
                 break
             consumed += 1
             stats.tried += 1
-            chi = apply_symword(w, rec.poly)
-            if chi.is_zero():
+            chi = apply_symword_slater(w, rec.slater)
+            if not chi:
                 stats.zero += 1
                 report.decisions.append((g, rec.id, widx, "zero", None))
                 continue
@@ -317,26 +378,16 @@ def enumerate_shapes(
                 stats.survived += 1
                 report.decisions.append((g, rec.id, widx, "survives", None))
                 continue
-            registry.extend_from(chi)
-            matrix.resize(len(registry))
-            vec = coeff_vector(chi, registry)
-            prim, cont, sign = chi.normalized()
-            if matrix.try_extend(vec):
-                if not chi.is_antisymmetric():
-                    raise AssertionError(
-                        f"word {w} broke antisymmetry below shape {rec.id}"
-                    )
-                rid = len(records)
-                new = ShapeRecord(
-                    rid, g, prim,
-                    Provenance(kind="word", parent=rec.id, word=w,
-                               content=cont, sign=sign),
-                    shape_entropy(n, d, g),
-                )
-                records.append(new)
+            for rows in chi:
+                columns.setdefault(rows, len(columns))
+            matrix.resize(len(columns))
+            prim, cont, sign = slater_normalized(chi)
+            if matrix.try_extend({columns[rows]: c for rows, c in chi.items()}):
+                rid = accept(g, prim, Provenance(kind="word", parent=rec.id,
+                                                 word=w, content=cont,
+                                                 sign=sign))
                 tree.edges[rid] = (rec.id, w)
-                key = (len(prim.terms), prim.leading_monomial())
-                accepted_here.setdefault(key, []).append(rid)
+                accepted_here[frozenset(prim.items())] = rid
                 stats.found += 1
                 report.decisions.append((g, rec.id, widx, "accepted", rid))
                 if stats.found > expected:
@@ -346,12 +397,7 @@ def enumerate_shapes(
                     )
             else:
                 stats.in_span += 1
-                key = (len(prim.terms), prim.leading_monomial())
-                match = next(
-                    (rid for rid in accepted_here.get(key, ())
-                     if records[rid].poly == prim),
-                    None,
-                )
+                match = accepted_here.get(frozenset(prim.items()))
                 if match is not None:
                     tree.extra_edges.append((rec.id, match, w, sign))
                     report.decisions.append((g, rec.id, widx, "extra_edge", match))
@@ -364,35 +410,25 @@ def enumerate_shapes(
             # add nothing modulo the symmetric generators, which would leave
             # a set that is no module basis; so its normal form must be new
             # as well, against those of the shapes words found here
-            reducer = _CoinvariantReducer(n, d)
-            nf_registry = MonomialIndex()
-            nf_matrix = SparseIntMatrix()
+            normal_forms = _NormalFormSpan(_CoinvariantReducer(n, d))
             for rec in records:
                 if rec.grade == g:
-                    _extend_normal_forms(reducer, nf_registry, nf_matrix,
-                                         rec.poly)
+                    normal_forms.extend(rec.poly)
             filled = 0
             for rows in slater_basis(n, d, g):
                 chi = antisymmetrize(rows)
-                registry.extend_from(chi)
-                matrix.resize(len(registry))
-                if (_extend_normal_forms(reducer, nf_registry, nf_matrix, chi)
-                        and matrix.try_extend(coeff_vector(chi, registry))):
+                col = columns.setdefault(rows, len(columns))
+                matrix.resize(len(columns))
+                if normal_forms.extend(chi) and matrix.try_extend({col: 1}):
                     prim, cont, sign = chi.normalized()
-                    rid = len(records)
-                    new = ShapeRecord(
-                        rid, g, prim,
-                        Provenance(kind="oracle", rows=rows,
-                                   content=cont, sign=sign),
-                        shape_entropy(n, d, g),
-                    )
-                    records.append(new)
-                    key = (len(prim.terms), prim.leading_monomial())
-                    accepted_here.setdefault(key, []).append(rid)
+                    rid = accept(g, {rows: sign},
+                                 Provenance(kind="oracle", rows=rows,
+                                            content=cont, sign=sign))
                     stats.found += 1
                     stats.fallback += 1
                     filled += 1
-                    for c in _surviving_coordinates(prim, lowerings):
+                    for c in _surviving_coordinates(records[rid].slater,
+                                                    lowerings):
                         logger.warning("shape %d survives unit lowering on "
                                        "coordinate %d", rid, c)
                         report.annihilation_warnings.append((rid, c))
@@ -405,6 +441,7 @@ def enumerate_shapes(
                     f"grade {g}: {stats.found} of {expected} shapes even "
                     f"with the oracle"
                 )
+        _log_grade(g, stats, started)
 
     total = sum(s.found for s in per_grade.values())
     if total != math.factorial(n) ** (d - 1):
@@ -413,6 +450,13 @@ def enumerate_shapes(
         )
     report.elapsed = time.perf_counter() - t0
     return EnumerationResult(n=n, d=d, records=records, tree=tree, report=report)
+
+
+def _log_grade(g: int, stats: GradeStats, started: float):
+    logger.info(
+        "grade %d: found %d/%d, tried %d, zero %d, survived %d, in_span %d, "
+        "%.2fs", g, stats.found, stats.expected, stats.tried, stats.zero,
+        stats.survived, stats.in_span, time.perf_counter() - started)
 
 
 # --- symmetric-generator monomials ------------------------------------------
@@ -563,13 +607,20 @@ class _CoinvariantReducer:
         return MPoly(p.n, p.d, terms)
 
 
-def _extend_normal_forms(reducer: _CoinvariantReducer, registry: MonomialIndex,
-                         matrix: SparseIntMatrix, p: MPoly) -> bool:
-    """Add p's normal form to matrix; True iff it extends the span."""
-    nf = reducer.normal_form(p)
-    registry.extend_from(nf)
-    matrix.resize(len(registry))
-    return matrix.try_extend(coeff_vector(nf, registry))
+class _NormalFormSpan:
+    """The span of the normal forms added so far, at one grade."""
+
+    def __init__(self, reducer: _CoinvariantReducer):
+        self.reducer = reducer
+        self.registry = MonomialIndex()
+        self.matrix = SparseIntMatrix()
+
+    def extend(self, p: MPoly) -> bool:
+        """Add p's normal form; True iff it extends the span."""
+        nf = self.reducer.normal_form(p)
+        self.registry.extend_from(nf)
+        self.matrix.resize(len(self.registry))
+        return self.matrix.try_extend(coeff_vector(nf, self.registry))
 
 
 def verify_completeness(
@@ -602,15 +653,14 @@ def verify_completeness(
                 f"grade {g}: {len(here)} shapes, the shape polynomial "
                 f"expects {expected}"
             )
-        registry = MonomialIndex()
-        matrix = SparseIntMatrix()
+        normal_forms = _NormalFormSpan(reducer)
         for rec in here:
-            _extend_normal_forms(reducer, registry, matrix, rec.poly)
-        results.append((g, expected, matrix.rank()))
-        if matrix.rank() != expected:
+            normal_forms.extend(rec.poly)
+        rank = normal_forms.matrix.rank()
+        results.append((g, expected, rank))
+        if rank != expected:
             raise IncompletenessError(
-                f"grade {g}: normal forms have rank {matrix.rank()} of "
-                f"{expected}"
+                f"grade {g}: normal forms have rank {rank} of {expected}"
             )
     total = math.factorial(n) ** (d - 1)
     if len(records) != total:
@@ -678,7 +728,7 @@ def express_in_basis(
     verify` guarantee, and homogeneous in each coordinate; they are not
     re-checked in full.  A record whose term count is not n! times its
     number of occupation sets, or that spans several multidegrees, raises
-    ValueError.
+    ValueError (ShapeRecord.slater runs these guards once per record).
     """
     out: list[dict[tuple, Fraction]] = [{} for _ in records]
     if psi.is_zero():
@@ -691,23 +741,14 @@ def express_in_basis(
     if g > degree_D(d, n):
         raise ValueError(f"grade {g} beyond the verified range")
 
-    def multidegree(rows: tuple) -> tuple:
-        return tuple(map(sum, zip(*rows)))
-
     target_sets = slater_coefficients(psi)
-    blocks = {multidegree(rows) for rows in target_sets}
+    blocks = {_multidegree(rows) for rows in target_sets}
     shapes: dict[int, tuple[dict[tuple, int], tuple]] = {}
     for idx, rec in enumerate(records):
         if rec.grade > g:
             continue
-        coeffs = slater_coefficients(rec.poly)
-        if len(rec.poly.terms) != math.factorial(n) * len(coeffs):
-            raise ValueError(f"record {rec.id} is not antisymmetric")
-        degrees = {multidegree(rows) for rows in coeffs}
-        if len(degrees) != 1:
-            raise ValueError(
-                f"record {rec.id} is not homogeneous in each coordinate")
-        shapes[idx] = (coeffs, degrees.pop())
+        coeffs = rec.slater
+        shapes[idx] = (coeffs, _multidegree(next(iter(coeffs))))
 
     # generator monomial * shape, by the same recursion as
     # _generator_expansion; intermediate products are shared between

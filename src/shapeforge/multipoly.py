@@ -13,9 +13,11 @@ has an empty term map; zero coefficients are never stored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+import operator
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 COORD_LETTERS = "tuvwxyzabcdefghijklmnopqrs"
 
@@ -353,6 +355,71 @@ def slater_coefficients(p: MPoly) -> dict[tuple, int]:
         if all(a < b for a, b in zip(rows, rows[1:])):
             out[rows] = coeff
     return out
+
+
+def _leading_key(rows: tuple) -> tuple:
+    """The leading monomial of Alt(rows): it gives the particles the rows in
+    descending order, flattened coordinate-major like every exponent
+    vector.  (Comparing rows[::-1] as a tuple of rows is a different,
+    row-major order.)"""
+    return tuple(r[c] for c in range(len(rows[0])) for r in reversed(rows))
+
+
+def slater_normalized(coeffs: Mapping[tuple, int]
+                      ) -> tuple[dict[tuple, int], int, int]:
+    """MPoly.normalized in Slater coordinates: (primitive coefficients,
+    content, sign) of sum(coeff * Alt(rows)), which must be nonzero.
+
+    Every monomial coefficient is plus or minus a Slater coefficient, so
+    the content is their gcd.  The leading monomial comes from the set
+    with the largest _leading_key; it puts the rows in descending order,
+    a permutation of sign (-1)^(n(n-1)/2).
+    """
+    if not coeffs:
+        raise ValueError("cannot normalize the zero polynomial")
+    cont = 0
+    for c in coeffs.values():
+        cont = math.gcd(cont, c)
+        if cont == 1:
+            break
+    lead = max(coeffs, key=_leading_key)
+    n = len(lead)
+    reversal = -1 if n * (n - 1) // 2 % 2 else 1
+    sign = 1 if coeffs[lead] * reversal > 0 else -1
+    div = cont * sign
+    return {rows: c // div for rows, c in coeffs.items()}, cont, sign
+
+
+@functools.lru_cache(maxsize=None)
+def _alternation_table(n: int, d: int) -> tuple[tuple[Callable, int], ...]:
+    """One (gather, sign) pair per permutation sigma of the n particles:
+    gather maps the rows' flat coordinate-major exponents (slot c*n + a
+    holds row a's coordinate c) to the monomial that gives row a to
+    particle sigma[a]."""
+    table = []
+    for sigma in itertools.permutations(range(n)):
+        inverse = [0] * n
+        for a, i in enumerate(sigma):
+            inverse[i] = a
+        slots = [c * n + inverse[i] for c in range(d) for i in range(n)]
+        if len(slots) == 1:
+            gather = lambda flat: flat
+        else:
+            gather = operator.itemgetter(*slots)
+        table.append((gather, _perm_sign(sigma)))
+    return tuple(table)
+
+
+def slater_to_poly(coeffs: Mapping[tuple, int], n: int, d: int) -> MPoly:
+    """Expand sum(coeff * Alt(rows)) into the particle variables, the
+    inverse of slater_coefficients."""
+    table = _alternation_table(n, d)
+    terms = {}
+    for rows, coeff in coeffs.items():
+        flat = tuple(itertools.chain.from_iterable(zip(*rows)))
+        for gather, sign in table:
+            terms[gather(flat)] = sign * coeff
+    return MPoly(n, d, terms)
 
 
 def slater_times_elementary(coeffs: Mapping[tuple, int], c: int,

@@ -161,7 +161,8 @@ def _provenance_from_json(data, n: int, d: int, where: str) -> Provenance:
     )
 
 
-def document_to_dict(doc: ShapeDocument) -> dict:
+def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
+    """The JSON object of a document; poly renders each shape's polynomial."""
     return {
         "n": doc.n,
         "d": doc.d,
@@ -173,7 +174,7 @@ def document_to_dict(doc: ShapeDocument) -> dict:
                 "grade": rec.grade,
                 "entropy": rec.entropy,
                 "provenance": _provenance_to_json(rec.provenance),
-                "poly": _poly_to_json(rec.poly),
+                "poly": poly(rec.poly),
             }
             for rec in doc.records
         ],
@@ -256,8 +257,38 @@ def document_from_dict(data) -> ShapeDocument:
     )
 
 
+# json.dumps falls back to its pure-Python encoder under indent, which is
+# slow on the term lists; those are rendered directly in the same layout,
+# where a shape's poly list sits three levels deep
+_POLY_SLOT = "@poly@"
+_TERM_HEAD = '{\n          "exp": [\n            '
+_EXP_SEP = ',\n            '
+_TERM_MID = '\n          ],\n          "coef": "'
+_TERM_TAIL = '"\n        }'
+
+
+def _poly_text(p: MPoly) -> str:
+    """json.dumps(_poly_to_json(p), indent=2) at a shape's depth."""
+    if not p.terms:
+        return "[]"
+    terms = p.terms
+    return "[\n        " + ",\n        ".join(
+        _TERM_HEAD + _EXP_SEP.join(map(str, mono)) + _TERM_MID
+        + str(terms[mono]) + _TERM_TAIL
+        for mono in sorted(terms, reverse=True)
+    ) + "\n      ]"
+
+
 def dumps_document(doc: ShapeDocument) -> str:
-    return json.dumps(document_to_dict(doc), indent=2) + "\n"
+    """json.dumps(document_to_dict(doc), indent=2) plus a newline, byte for
+    byte, with the polynomials rendered by _poly_text."""
+    data = document_to_dict(doc, poly=lambda p: _POLY_SLOT)
+    pieces = json.dumps(data, indent=2).split(f'"{_POLY_SLOT}"')
+    out = [pieces[0]]
+    for rec, piece in zip(doc.records, pieces[1:]):
+        out.append(_poly_text(rec.poly))
+        out.append(piece)
+    return "".join(out) + "\n"
 
 
 def loads_document(text: str) -> ShapeDocument:

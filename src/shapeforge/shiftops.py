@@ -9,11 +9,19 @@ A word is a fixed sequence of letters applied right to left at a single
 particle.  Its symmetrization sums the word over all particle indices,
 which commutes with every particle permutation and therefore maps
 antisymmetric polynomials to antisymmetric polynomials.
+
+A symmetrized word is a one-body operator, so on an antisymmetric
+polynomial held as Slater coefficients ({rows ascending: coefficient},
+see multipoly.slater_coefficients) it acts on one occupied row at a time
+(Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry, ch. 2):
+apply_symword_slater never expands a determinant, and its result is
+antisymmetric by construction.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .multipoly import COORD_LETTERS, MPoly, coord_name
@@ -108,6 +116,57 @@ def apply_symword(sw: SymWord, p: MPoly) -> MPoly:
     out = MPoly.zero(p.n, p.d)
     for k in range(p.n):
         out = out + apply_word_at(sw.word, k, p)
+    return out
+
+
+_UNSEEN = object()
+
+
+def apply_symword_slater(sw: SymWord,
+                         coeffs: dict[tuple, int]) -> dict[tuple, int]:
+    """apply_symword in Slater coordinates: sum(coeff * Alt(rows)) maps to
+    the sum over rows a of Alt(rows with row a replaced by its image).
+
+    The word acts on a single row as on one particle's monomial: its
+    letters apply right to left, and a lowering below 0 kills the term.
+    An image equal to another row of the set vanishes; the others move to
+    their sorted place, which takes the sign of the rows they pass (the
+    insertion step of multipoly._sort_with_sign).  Row images are memoized
+    for the call, since the sets share most of their rows.
+    """
+    letters = sw.word.letters[::-1]
+    images: dict[tuple, tuple | None] = {}
+
+    def image(row: tuple) -> tuple | None:
+        r = list(row)
+        for c, step in letters:
+            r[c] += step
+            if r[c] < 0:
+                return None
+        return tuple(r)
+
+    out: dict[tuple, int] = {}
+    for rows, coeff in coeffs.items():
+        for a, row in enumerate(rows):
+            im = images.get(row, _UNSEEN)
+            if im is _UNSEEN:
+                im = images[row] = image(row)
+            if im is None:
+                continue
+            k = bisect_left(rows, im)
+            if k != a and k < len(rows) and rows[k] == im:
+                continue
+            if k > a:
+                new = rows[:a] + rows[a + 1:k] + (im,) + rows[k:]
+                passed = k - a - 1
+            else:
+                new = rows[:k] + (im,) + rows[k:a] + rows[a + 1:]
+                passed = a - k
+            v = out.get(new, 0) + (-coeff if passed & 1 else coeff)
+            if v:
+                out[new] = v
+            else:
+                del out[new]
     return out
 
 

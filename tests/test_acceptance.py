@@ -7,6 +7,7 @@ module-scoped fixtures and are timed there, so the budget applies to the
 computation itself, not to fixture reuse.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -26,6 +27,7 @@ from shapeforge.engine import (
     verify_sign_conflict,
 )
 from shapeforge.multipoly import MPoly, slater_basis, source_shape, vandermonde
+from shapeforge.serialize import document_from_result, document_to_dot
 from shapeforge.qseries import (
     Statistics,
     degree_D,
@@ -184,14 +186,22 @@ def test_criterion_7_shift_operator_goldens(capsys):
 
 def test_criterion_8_scale_up(timed43, capsys):
     result, elapsed = timed43
-    with criterion(8, "576 shapes match the recursion histogram and are "
-                      "certified complete", capsys, 1800.0) as info:
+    with criterion(8, "576 shapes match the recursion histogram, are "
+                      "certified complete and match their pinned digests",
+                   capsys, 1800.0) as info:
         info["elapsed"] = elapsed
         assert len(result.records) == 576 == math.factorial(4) ** 2
         coeffs = shape_poly(4, 3, F).coeffs
         assert result.histogram() == {g: c for g, c in enumerate(coeffs) if c}
         triples = verify_completeness(4, 3, result.records)
         assert [(g, rank) for g, _, rank in triples] == list(enumerate(coeffs))
+        # the records and the tree, pinned byte for byte
+        polys = "\n".join(rec.poly.canonical_str() for rec in result.records)
+        assert hashlib.sha256((polys + "\n").encode()).hexdigest() == (
+            "6888f3f0fa0f9149d100ce9adda270ba0a4400ef5046a54df65ede94001b12f0")
+        dot = document_to_dot(document_from_result(result))
+        assert hashlib.sha256(dot.encode()).hexdigest() == (
+            "2b4b6cfde23e77bec15fe27d30b5c35c1c5a9a4112f46738738ee75633baca06")
 
 
 def test_criterion_9_property_suites(timed33, timed43, capsys):

@@ -3,6 +3,7 @@ exact decomposition over the symmetric generators."""
 
 import dataclasses
 import itertools
+import logging
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from shapeforge.engine import (
     EngineConfig,
     IncompletenessError,
     _CoinvariantReducer,
+    _coordinate_atoms,
     _surviving_coordinates,
     assemble,
     build_vocabulary,
@@ -38,7 +40,14 @@ from shapeforge.qseries import (
     state_count_series,
     ze_series,
 )
-from shapeforge.shiftops import apply_symword, symword, word_to_str
+from shapeforge.shiftops import (
+    SymWord,
+    Word,
+    apply_symword,
+    apply_symword_slater,
+    symword,
+    word_to_str,
+)
 
 
 # --- vocabulary ------------------------------------------------------------
@@ -83,6 +92,42 @@ def test_vocabulary_rejects_bad_args():
         build_vocabulary(0)
     with pytest.raises(ValueError):
         build_vocabulary(3, EngineConfig(max_letters=0))
+
+
+def _brute_force_vocabulary(d, config):
+    """Every atom combination over every coordinate subset, filtered after
+    the fact: the definition build_vocabulary prunes its way to."""
+    words = []
+    for r in range(1, d + 1):
+        for coords in itertools.combinations(range(d), r):
+            atom_sets = [_coordinate_atoms(c, config) for c in coords]
+            for chosen in itertools.product(*atom_sets):
+                letters = tuple(
+                    l for atom in sorted(chosen, key=lambda a: -a[0].coordinate)
+                    for l in atom
+                )
+                if len(letters) > config.max_letters:
+                    continue
+                net = sum(l.step for l in letters)
+                if not -config.max_drop <= net <= -1:
+                    continue
+                words.append(SymWord(Word(letters)))
+    words.sort(key=lambda w: (-w.net_grade(), len(w.word.letters),
+                              w.word.letters))
+    return tuple(words)
+
+
+@pytest.mark.parametrize("config", [
+    EngineConfig(),
+    EngineConfig(max_letters=1),
+    EngineConfig(max_letters=3, max_amount=2, max_drop=3),
+    EngineConfig(max_letters=5, max_amount=2, max_drop=6),
+    EngineConfig(max_letters=2, max_amount=3, max_drop=2),
+])
+def test_vocabulary_matches_brute_force(config):
+    for d in range(1, 8):
+        assert build_vocabulary(d, config).words == \
+            _brute_force_vocabulary(d, config), d
 
 
 def test_generator_monomial_counts_match_partition_series():
@@ -174,7 +219,12 @@ def test_accepted_shapes_are_canonical():
         assert rec.poly.is_antisymmetric()
         prim, content, sign = rec.poly.normalized()
         assert (prim, content, sign) == (rec.poly, 1, 1)
-        assert list(_surviving_coordinates(rec.poly, lowerings)) == []
+        # each unit lowering kills the shape, checked on the monomials
+        # independently of the Slater-coordinate filter the descent runs
+        for w in lowerings:
+            assert apply_symword(w, rec.poly).is_zero()
+        assert rec.slater == slater_coefficients(rec.poly)
+        assert list(_surviving_coordinates(rec.slater, lowerings)) == []
 
 
 @pytest.mark.parametrize("n,d", [(2, 3), (3, 3)])
@@ -189,6 +239,47 @@ def test_provenance_replay_bit_exact(n, d):
             assert pv.kind == "word"
             raw = apply_symword(pv.word, result.records[pv.parent].poly)
             assert raw.normalized() == (rec.poly, pv.content, pv.sign)
+
+
+def _assert_slater_action_matches(records, pairs):
+    for rec, w in pairs:
+        want = slater_coefficients(apply_symword(w, rec.poly))
+        assert apply_symword_slater(w, rec.slater) == want, (rec.id, str(w))
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3)])
+def test_symword_slater_matches_apply_symword_on_every_pair(n, d):
+    records = enumerate_shapes(n, d).records
+    words = build_vocabulary(d).words
+    # the vocabulary has raise-then-lower atoms, and many pairs give zero
+    assert any(l.step > 0 for w in words for l in w.word.letters)
+    assert any(apply_symword_slater(w, rec.slater) == {}
+               for rec in records for w in words)
+    _assert_slater_action_matches(
+        records, [(rec, w) for rec in records for w in words])
+
+
+def test_symword_slater_matches_apply_symword_sampled_two_five():
+    rng = random.Random(2025)
+    records = enumerate_shapes(2, 5).records
+    words = build_vocabulary(5).words
+    pairs = [(rng.choice(records), rng.choice(words)) for _ in range(400)]
+    assert any(any(l.step > 0 for l in w.word.letters) for _, w in pairs)
+    _assert_slater_action_matches(records, pairs)
+
+
+def test_grade_progress_is_logged(caplog):
+    with caplog.at_level(logging.INFO, logger="shapeforge.engine"):
+        result = enumerate_shapes(2, 3)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "shapeforge.engine"]
+    assert len(lines) == len(result.report.per_grade) == 3
+    for line, g in zip(lines, (3, 2, 1)):
+        s = result.report.per_grade[g]
+        assert line.startswith(
+            f"grade {g}: found {s.found}/{s.expected}, tried {s.tried}, "
+            f"zero {s.zero}, survived {s.survived}, in_span {s.in_span}, ")
+        assert line.endswith("s")
 
 
 def test_tree_edges_descend_by_word_net():
@@ -228,6 +319,7 @@ def test_fallback_fills_under_crippled_vocabulary():
         assert raw.normalized() == (
             rec.poly, rec.provenance.content, rec.provenance.sign,
         )
+        assert rec.slater == slater_coefficients(rec.poly)
 
 
 def test_fallback_large_run_keeps_histogram():

@@ -14,7 +14,9 @@ from shapeforge.multipoly import (
     elementary_symmetric,
     slater_basis,
     slater_coefficients,
+    slater_normalized,
     slater_times_elementary,
+    slater_to_poly,
     source_shape,
     vandermonde,
 )
@@ -365,3 +367,47 @@ def test_slater_times_elementary_matches_product():
                     assert got == slater_coefficients(want), (n, d, c, j)
                     # collisions drop out, so nothing but nonzero sets remain
                     assert all(got.values())
+
+
+def _alt_sum(coeffs, n, d):
+    p = MPoly.zero(n, d)
+    for rows, c in coeffs.items():
+        p = p + antisymmetrize(rows).scale(c)
+    return p
+
+
+def test_slater_to_poly_expands_like_antisymmetrize():
+    rng = random.Random(13)
+    for n, d in ((1, 1), (1, 3), (2, 1), (2, 3), (3, 3), (4, 3), (2, 5), (3, 2)):
+        for _ in range(4):
+            coeffs = _random_slater_combination(rng, n, d,
+                                                sets=1 if n * d == 1 else 3)
+            assert slater_to_poly(coeffs, n, d) == _alt_sum(coeffs, n, d)
+    assert slater_to_poly({}, 2, 3) == MPoly.zero(2, 3)
+
+
+def test_slater_normalized_matches_mpoly_normalized():
+    # the leading monomial orders sets by their descending rows flattened
+    # coordinate-major; as tuples of rows the reversed sets compare the
+    # other way round, so a helper that used that order gets the sign wrong
+    a, b = ((0, 0), (2, 1)), ((1, 0), (2, 0))
+    assert a[::-1] > b[::-1]
+    assert antisymmetrize(b).leading_monomial() > \
+        antisymmetrize(a).leading_monomial()
+    for coeffs in ({a: 2, b: -4}, {a: -2, b: 4}, {a: 6, b: 9}, {a: -5}):
+        prim, cont, sign = _alt_sum(coeffs, 2, 2).normalized()
+        assert slater_normalized(coeffs) == (slater_coefficients(prim),
+                                             cont, sign)
+    # n = 2, 3 reverse the rows by an odd permutation, n = 4, 5 by an even one
+    rng = random.Random(14)
+    for n, d in ((1, 3), (2, 3), (3, 3), (4, 3), (5, 2), (2, 5), (3, 2)):
+        for _ in range(8):
+            coeffs = _random_slater_combination(rng, n, d,
+                                                sets=rng.randrange(1, 4))
+            k = rng.choice((1, 2, 6, -3))
+            coeffs = {rows: c * k for rows, c in coeffs.items()}
+            prim, cont, sign = _alt_sum(coeffs, n, d).normalized()
+            assert slater_normalized(coeffs) == (slater_coefficients(prim),
+                                                 cont, sign)
+    with pytest.raises(ValueError):
+        slater_normalized({})

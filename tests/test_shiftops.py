@@ -6,6 +6,7 @@ from shapeforge.multipoly import (
     MPoly,
     antisymmetrize,
     slater_basis,
+    slater_coefficients,
     source_shape,
     vandermonde,
 )
@@ -15,6 +16,7 @@ from shapeforge.shiftops import (
     Word,
     apply_letter_at,
     apply_symword,
+    apply_symword_slater,
     apply_word_at,
     symword,
     word,
@@ -182,6 +184,21 @@ def test_symword_preserves_antisymmetry_200_random_pairs():
         assert image.is_antisymmetric()
         if not image.is_zero() and not p.is_zero():
             assert image.grade() == p.grade() + w.net_grade()
+
+
+def test_symword_slater_matches_monomial_action_on_random_words():
+    # random words raise and lower in any order, so some images leave the
+    # set, some collide with another row and some lower below zero
+    rng = random.Random(606)
+    zero = 0
+    for _ in range(200):
+        n = rng.choice([1, 2, 3, 4])
+        p = random_antisymmetric(rng, n)
+        w = random_word(rng, 3)
+        want = slater_coefficients(apply_symword(w, p))
+        assert apply_symword_slater(w, slater_coefficients(p)) == want
+        zero += not want
+    assert zero
 
 
 # --- net grade and serialization -------------------------------------------
