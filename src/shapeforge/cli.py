@@ -30,8 +30,8 @@ from .qseries import Statistics, shape_poly, state_count_series
 from .serialize import (
     ShapeDocument,
     document_from_result,
+    document_pieces,
     document_to_dot,
-    dumps_document,
     loads_document,
     report_to_text,
 )
@@ -145,25 +145,28 @@ def cmd_gen(args) -> int:
             return EXIT_INCOMPLETE
 
     # each artifact goes to a temp file first and is renamed into place,
-    # shapes.json last, so no failure leaves a partial or stray shapes.json
+    # shapes.json last, so no failure leaves a partial or stray shapes.json;
+    # shapes.json is written piece by piece, never held whole
     texts = {
-        "tree.dot": document_to_dot(doc),
-        "report.txt": report_to_text(result),
-        "shapes.json": dumps_document(doc),
+        "tree.dot": [document_to_dot(doc)],
+        "report.txt": [report_to_text(result)],
+        "shapes.json": document_pieces(doc),
     }
     out = Path(args.out)
     temps = {name: out / f".{name}.tmp" for name in texts}
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in texts.items():
-            temps[name].write_text(text, encoding="utf-8")
+        for name, pieces in texts.items():
+            with open(temps[name], "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
         for name, tmp in temps.items():
             os.replace(tmp, out / name)
     except OSError as exc:
+        return _fail_usage(f"cannot write artifacts to {out}: {exc}")
+    finally:
         for tmp in temps.values():
             if tmp.is_file():
                 tmp.unlink()
-        return _fail_usage(f"cannot write artifacts to {out}: {exc}")
     print(
         f"{len(result.records)} shapes, {result.tree.edge_count()} tree "
         f"edges, {len(result.tree.extra_edges)} extra edges -> {out}"

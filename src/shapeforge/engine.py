@@ -22,10 +22,11 @@ content and sign come from the set coefficients.  Only accepted shapes
 are expanded into the particle variables.
 
 If the vocabulary fails to fill a grade, the enumerator falls back to
-antisymmetrized occupation sets, which span the full antisymmetric
-space at that grade; it takes one only when its normal form (see below)
-is new, so the result stays a module basis.  Fallback activations are
-first-class report data.
+single Slater determinants, which span the full antisymmetric space at
+that grade; it takes one only when its normal form (see below) is new,
+so the result stays a module basis.  That one span of normal forms is
+the fallback's whole test, and content and sign again come from the set
+coefficients.  Fallback activations are first-class report data.
 
 verify_completeness certifies the final generator set without forming
 a single module product.  The antisymmetric polynomials A are a free
@@ -71,11 +72,8 @@ from typing import Sequence
 
 from .exactla import SparseIntMatrix
 from .multipoly import (
-    MonomialIndex,
     MPoly,
     OddDimensionRequiredError,
-    antisymmetrize,
-    coeff_vector,
     elementary_symmetric,
     slater_basis,
     slater_coefficients,
@@ -203,13 +201,14 @@ class ShapeRecord:
         """poly's Slater coefficients {rows ascending: coefficient}.
 
         enumerate_shapes seeds them; otherwise they are read off poly once,
-        with cheap guards: a term count other than n! times the number of
-        occupation sets (not antisymmetric), or more than one multidegree,
+        by slater_coefficients, which checks antisymmetry exactly.  A poly
+        that is not antisymmetric, or spans more than one multidegree,
         raises ValueError.
         """
-        coeffs = slater_coefficients(self.poly)
-        if len(self.poly.terms) != math.factorial(self.poly.n) * len(coeffs):
-            raise ValueError(f"record {self.id} is not antisymmetric")
+        try:
+            coeffs = slater_coefficients(self.poly)
+        except ValueError:
+            raise ValueError(f"record {self.id} is not antisymmetric") from None
         if len({_multidegree(rows) for rows in coeffs}) != 1:
             raise ValueError(
                 f"record {self.id} is not homogeneous in each coordinate")
@@ -259,12 +258,6 @@ class RunReport:
     decisions: list[tuple] = field(default_factory=list)
     annihilation_warnings: list[tuple[int, int]] = field(default_factory=list)
     elapsed: float = 0.0
-
-    def expected_histogram(self) -> dict[int, int]:
-        return {g: s.expected for g, s in self.per_grade.items() if s.expected}
-
-    def found_histogram(self) -> dict[int, int]:
-        return {g: s.found for g, s in self.per_grade.items() if s.found}
 
 
 @dataclass
@@ -408,20 +401,19 @@ def enumerate_shapes(
         if stats.found < expected:
             # an occupation set can extend the span at this grade and still
             # add nothing modulo the symmetric generators, which would leave
-            # a set that is no module basis; so its normal form must be new
-            # as well, against those of the shapes words found here
+            # a set that is no module basis; so a set is taken only when its
+            # normal form is new against those of the shapes found here.
+            # Normal forms are linear, so the set then extends the span of
+            # the shapes themselves as well
             normal_forms = _NormalFormSpan(_CoinvariantReducer(n, d))
             for rec in records:
                 if rec.grade == g:
                     normal_forms.extend(rec.poly)
             filled = 0
             for rows in slater_basis(n, d, g):
-                chi = antisymmetrize(rows)
-                col = columns.setdefault(rows, len(columns))
-                matrix.resize(len(columns))
-                if normal_forms.extend(chi) and matrix.try_extend({col: 1}):
-                    prim, cont, sign = chi.normalized()
-                    rid = accept(g, {rows: sign},
+                if normal_forms.extend(slater_to_poly({rows: 1}, n, d)):
+                    prim, cont, sign = slater_normalized({rows: 1})
+                    rid = accept(g, prim,
                                  Provenance(kind="oracle", rows=rows,
                                             content=cont, sign=sign))
                     stats.found += 1
@@ -516,14 +508,12 @@ def module_span_matrix(
             prod = _generator_expansion(n, d, gexp) * rec.poly
             support.update(prod.terms)
             recipes.append((prod.leading_monomial(), rec.id, gexp, rec))
-    registry = MonomialIndex()
-    for mono in sorted(support, reverse=True):
-        registry.add(mono)
-    matrix = SparseIntMatrix(ncols=len(registry))
-    recipes.sort(key=lambda r: (registry.id_of(r[0]), r[1], r[2]))
+    cols = {mono: col for col, mono in enumerate(sorted(support, reverse=True))}
+    matrix = SparseIntMatrix(ncols=len(cols))
+    recipes.sort(key=lambda r: (cols[r[0]], r[1], r[2]))
     for _, _, gexp, rec in recipes:
         prod = _generator_expansion(n, d, gexp) * rec.poly
-        matrix.try_extend(coeff_vector(prod, registry))
+        matrix.try_extend({cols[m]: c for m, c in prod.terms.items()})
     return matrix
 
 
@@ -612,15 +602,19 @@ class _NormalFormSpan:
 
     def __init__(self, reducer: _CoinvariantReducer):
         self.reducer = reducer
-        self.registry = MonomialIndex()
+        self.cols: dict[tuple, int] = {}
         self.matrix = SparseIntMatrix()
 
     def extend(self, p: MPoly) -> bool:
-        """Add p's normal form; True iff it extends the span."""
-        nf = self.reducer.normal_form(p)
-        self.registry.extend_from(nf)
-        self.matrix.resize(len(self.registry))
-        return self.matrix.try_extend(coeff_vector(nf, self.registry))
+        """Add p's normal form; True iff it extends the span.  Its new
+        monomials get columns in descending order, so the columns do not
+        depend on how the polynomial was built."""
+        nf = self.reducer.normal_form(p).terms
+        cols = self.cols
+        for mono in sorted(nf, reverse=True):
+            cols.setdefault(mono, len(cols))
+        self.matrix.resize(len(cols))
+        return self.matrix.try_extend({cols[m]: c for m, c in nf.items()})
 
 
 def verify_completeness(
@@ -724,24 +718,25 @@ def express_in_basis(
     products are independent and the coefficients unique.  psi outside
     their span raises IncompletenessError.
 
-    Records must be antisymmetric, as enumerate_shapes and `shapeforge
-    verify` guarantee, and homogeneous in each coordinate; they are not
-    re-checked in full.  A record whose term count is not n! times its
-    number of occupation sets, or that spans several multidegrees, raises
-    ValueError (ShapeRecord.slater runs these guards once per record).
+    Records must be antisymmetric and homogeneous in each coordinate, as
+    enumerate_shapes and `shapeforge verify` guarantee.  A record that is
+    not, and a psi that is not antisymmetric, raise ValueError;
+    ShapeRecord.slater checks each record once, and psi's antisymmetry is
+    checked by slater_coefficients as its coefficients are read.
     """
     out: list[dict[tuple, Fraction]] = [{} for _ in records]
     if psi.is_zero():
         return out
     if not psi.is_homogeneous():
         raise ValueError("psi must be homogeneous")
-    if not psi.is_antisymmetric():
-        raise ValueError("psi must be antisymmetric")
+    try:
+        target_sets = slater_coefficients(psi)
+    except ValueError:
+        raise ValueError("psi must be antisymmetric") from None
     g = psi.grade()
     if g > degree_D(d, n):
         raise ValueError(f"grade {g} beyond the verified range")
 
-    target_sets = slater_coefficients(psi)
     blocks = {_multidegree(rows) for rows in target_sets}
     shapes: dict[int, tuple[dict[tuple, int], tuple]] = {}
     for idx, rec in enumerate(records):
@@ -787,9 +782,10 @@ def express_in_basis(
             prod = product(idx, gexp)
             support.update(prod)
             recipes.append((idx, gexp, prod))
-    # columns in descending order of the sets' leading monomials, as the
-    # monomial path had them; the leading monomial of Alt(rows) gives the
-    # particles the rows in descending order, so compare reversed sets
+    # columns in descending order of the reversed sets compared as tuples
+    # of rows: a row-major order, not that of the sets' leading monomials
+    # (multipoly._leading_key).  The solution is unique, so the order only
+    # steers the elimination
     column = {
         rows: col for col, rows in enumerate(
             sorted(support, key=lambda rows: rows[::-1], reverse=True))

@@ -9,6 +9,14 @@ which makes Python's tuple ordering the term order.
 
 Coefficients are arbitrary-precision integers.  The zero polynomial
 has an empty term map; zero coefficients are never stored.
+
+An antisymmetric polynomial is a sum of Slater determinants Alt(rows),
+one per set of n distinct d-tuples, so it is also held as its Slater
+coefficients {rows ascending: coefficient}.  The converter pair
+slater_coefficients / slater_to_poly is the one way this package
+expands, checks or normalizes an antisymmetric polynomial:
+antisymmetrize and MPoly.is_antisymmetric go through it, and
+slater_normalized and slater_times_elementary work on the coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 COORD_LETTERS = "tuvwxyzabcdefghijklmnopqrs"
 
@@ -28,10 +36,6 @@ class DimensionMismatchError(ValueError):
 
 class OddDimensionRequiredError(ValueError):
     """The requested construction only exists in odd dimension."""
-
-
-class UnindexedMonomialError(KeyError):
-    """A polynomial contains a monomial outside the given column index."""
 
 
 def coord_name(c: int) -> str:
@@ -202,18 +206,12 @@ class MPoly:
         return MPoly(n, d, out)
 
     def is_antisymmetric(self) -> bool:
-        """True iff every adjacent particle transposition flips the sign.
-
-        Adjacent transpositions generate the full permutation group, so
-        checking them suffices.
-        """
-        if not self.terms:
-            return True
-        for i in range(self.n - 1):
-            sigma = list(range(self.n))
-            sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-            if self.permute_particles(sigma) != -self:
-                return False
+        """True iff every particle permutation multiplies self by its sign,
+        that is, iff slater_coefficients accepts self."""
+        try:
+            slater_coefficients(self)
+        except ValueError:
+            return False
         return True
 
     # -- normalization ---------------------------------------------------
@@ -312,15 +310,9 @@ def antisymmetrize(rows: Sequence[tuple]) -> MPoly:
         raise DimensionMismatchError("rows of unequal length")
     if len(set(rows)) != n:
         raise ValueError("rows must be pairwise distinct")
-    out = {}
-    for sigma in itertools.permutations(range(n)):
-        sign = _perm_sign(sigma)
-        exp = [0] * (n * d)
-        for a, row in enumerate(rows):
-            for c in range(d):
-                exp[c * n + sigma[a]] = row[c]
-        out[tuple(exp)] = sign
-    return MPoly(n, d, out)
+    ordered = list(rows)
+    sign = _sort_with_sign(ordered)
+    return slater_to_poly({tuple(ordered): sign}, n, d)
 
 
 def _perm_sign(sigma: Sequence[int]) -> int:
@@ -345,8 +337,11 @@ def slater_coefficients(p: MPoly) -> dict[tuple, int]:
 
     Returns {rows ascending: coefficient} with p == sum(coefficient *
     antisymmetrize(rows)); the coefficient is that of the monomial whose
-    particle rows ascend.  p must be antisymmetric: nothing here checks
-    it, and the other monomials are simply not read.
+    particle rows ascend.  Expanding the result back and comparing it with
+    p is the package's one antisymmetry test, a single pass over the terms:
+    it raises ValueError unless p is antisymmetric, which also rejects a
+    monomial with two equal rows.  For n <= 1 every polynomial is
+    antisymmetric and nothing is expanded.
     """
     n, d = p.n, p.d
     out = {}
@@ -354,6 +349,8 @@ def slater_coefficients(p: MPoly) -> dict[tuple, int]:
         rows = tuple(zip(*(mono[c * n:(c + 1) * n] for c in range(d))))
         if all(a < b for a, b in zip(rows, rows[1:])):
             out[rows] = coeff
+    if n > 1 and slater_to_poly(out, n, d) != p:
+        raise ValueError("polynomial is not antisymmetric")
     return out
 
 
@@ -490,61 +487,4 @@ def slater_basis(n: int, d: int, grade: int) -> list[tuple]:
             chosen.pop()
 
     rec(0, n, grade)
-    return out
-
-
-# -- column registry for exact linear algebra ------------------------------
-
-class MonomialIndex:
-    """Assigns dense integer column ids to monomials as they are observed."""
-
-    __slots__ = ("_ids", "_monos")
-
-    def __init__(self):
-        self._ids: dict[tuple, int] = {}
-        self._monos: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, mono: tuple) -> bool:
-        return mono in self._ids
-
-    def id_of(self, mono: tuple) -> int:
-        return self._ids[mono]
-
-    def mono_of(self, col: int) -> tuple:
-        return self._monos[col]
-
-    def add(self, mono: tuple) -> int:
-        got = self._ids.get(mono)
-        if got is None:
-            got = len(self._monos)
-            self._ids[mono] = got
-            self._monos.append(mono)
-        return got
-
-    def extend_from(self, p: MPoly):
-        """Register every monomial of p, in descending monomial order so the
-        assignment does not depend on the polynomial's construction history."""
-        for mono in sorted(p.terms, reverse=True):
-            self.add(mono)
-
-    def monomials(self) -> Iterator[tuple]:
-        return iter(self._monos)
-
-
-def coeff_vector(p: MPoly, index: MonomialIndex) -> dict[int, int]:
-    """Sparse coefficient vector of p over an existing column index.
-
-    Every monomial of p must already be registered; growing the index is
-    the caller's explicit step.
-    """
-    ids = index._ids
-    out = {}
-    for mono, c in p.terms.items():
-        col = ids.get(mono)
-        if col is None:
-            raise UnindexedMonomialError(mono)
-        out[col] = c
     return out

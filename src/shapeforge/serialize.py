@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 from .engine import (
     BranchingTree,
@@ -279,16 +280,22 @@ def _poly_text(p: MPoly) -> str:
     ) + "\n      ]"
 
 
+def document_pieces(doc: ShapeDocument) -> Iterator[str]:
+    """The text of dumps_document in pieces, one shape's term list at a
+    time, so a writer never holds the whole document."""
+    data = document_to_dict(doc, poly=lambda p: _POLY_SLOT)
+    pieces = json.dumps(data, indent=2).split(f'"{_POLY_SLOT}"')
+    yield pieces[0]
+    for rec, piece in zip(doc.records, pieces[1:]):
+        yield _poly_text(rec.poly)
+        yield piece
+    yield "\n"
+
+
 def dumps_document(doc: ShapeDocument) -> str:
     """json.dumps(document_to_dict(doc), indent=2) plus a newline, byte for
     byte, with the polynomials rendered by _poly_text."""
-    data = document_to_dict(doc, poly=lambda p: _POLY_SLOT)
-    pieces = json.dumps(data, indent=2).split(f'"{_POLY_SLOT}"')
-    out = [pieces[0]]
-    for rec, piece in zip(doc.records, pieces[1:]):
-        out.append(_poly_text(rec.poly))
-        out.append(piece)
-    return "".join(out) + "\n"
+    return "".join(document_pieces(doc))
 
 
 def loads_document(text: str) -> ShapeDocument:

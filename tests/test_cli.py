@@ -143,7 +143,15 @@ def test_gen_fallback_run_passes_certificate(tmp_path, capsys):
                      "1", "--out", str(tmp_path))
     assert rc == 0
     assert "36 shapes" in out
-    assert (tmp_path / "shapes.json").is_file()
+    # the only golden run through the oracle fallback, pinned byte for byte
+    for name, digest in (
+        ("shapes.json",
+         "644cee59204c74a93283c416385ba1ad9558eeb1438ffc4256161fd9b39cb881"),
+        ("tree.dot",
+         "7a6ac9323b7768bdf5f21453545141a2858e3196c61a1ba18abeed89dd169f63"),
+    ):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 def test_gen_failed_write_leaves_no_artifact(tmp_path, capsys):

@@ -5,12 +5,9 @@ import pytest
 
 from shapeforge.multipoly import (
     DimensionMismatchError,
-    MonomialIndex,
     MPoly,
     OddDimensionRequiredError,
-    UnindexedMonomialError,
     antisymmetrize,
-    coeff_vector,
     elementary_symmetric,
     slater_basis,
     slater_coefficients,
@@ -104,6 +101,81 @@ def test_is_antisymmetric_examples():
     ) * MPoly.variable(2, 2, 1, 0)
     assert p.is_antisymmetric()
     assert MPoly.zero(3, 2).is_antisymmetric()
+
+
+def antisymmetric_by_transpositions(p):
+    """The definition: every adjacent particle transposition flips the
+    sign; adjacent transpositions generate the whole permutation group."""
+    for i in range(p.n - 1):
+        sigma = list(range(p.n))
+        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
+        if p.permute_particles(sigma) != -p:
+            return False
+    return True
+
+
+def alt_reference(rows, d):
+    """sum over sigma of sign(sigma) * prod_a x_{sigma(a)}^{rows[a]}: row a
+    goes to particle sigma[a]."""
+    n = len(rows)
+    out = {}
+    for sigma in itertools.permutations(range(n)):
+        exp = [0] * (n * d)
+        for a, row in enumerate(rows):
+            for c in range(d):
+                exp[c * n + sigma[a]] = row[c]
+        out[tuple(exp)] = perm_sign(sigma)
+    return MPoly(n, d, out)
+
+
+def _random_rows(rng, n, d, top=3):
+    rows = set()
+    while len(rows) < n:
+        rows.add(tuple(rng.randrange(top) for _ in range(d)))
+    rows = list(rows)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_is_antisymmetric_matches_transposition_definition():
+    rng = random.Random(15)
+    cases = [MPoly.zero(3, 2), MPoly.const(0, 3, 1), MPoly.const(1, 2, 5),
+             # two equal rows: t1 u1 t2 u2 is symmetric, not antisymmetric
+             MPoly(2, 2, {(1, 1, 1, 1): 1}),
+             MPoly(3, 1, {(2, 2, 0): 1}) + alt_reference([(0,), (1,), (2,)], 1)]
+    for n in (1, 2, 3, 4):
+        for d in (1, 2, 3):
+            for _ in range(3):
+                p = MPoly.zero(n, d)
+                for _ in range(rng.randrange(1, 4)):
+                    p = p + alt_reference(_random_rows(rng, n, d, top=n + 1),
+                                          d).scale(rng.choice((-2, -1, 1, 3)))
+                cases.append(p)
+                if p.terms:
+                    mono = rng.choice(sorted(p.terms))
+                    changed = MPoly(n, d, p.terms)
+                    changed.terms[mono] += 1
+                    if not changed.terms[mono]:
+                        del changed.terms[mono]
+                    cases.append(changed)
+    verdicts = set()
+    for p in cases:
+        want = antisymmetric_by_transpositions(p)
+        assert p.is_antisymmetric() == want, p.terms
+        verdicts.add((p.n, want))
+    assert {(n, False) for n in (2, 3, 4)} <= verdicts
+    assert {(n, True) for n in (0, 1, 2, 3, 4)} <= verdicts
+
+
+def test_slater_coefficients_rejects_non_antisymmetric():
+    t1 = MPoly.variable(2, 1, 0, 0)
+    t2 = MPoly.variable(2, 1, 0, 1)
+    alt = antisymmetrize(((0, 1, 0), (1, 0, 2), (0, 0, 1)))
+    for p in (t1 + t2, t1,
+              MPoly(2, 2, {(1, 1, 1, 1): 1}),    # two equal rows
+              alt + MPoly(3, 3, {next(iter(alt.terms)): 1})):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            slater_coefficients(p)
 
 
 # --- Vandermonde and the source shape ------------------------------------
@@ -218,6 +290,16 @@ def test_antisymmetrize_rejects_duplicates():
         antisymmetrize(((0, 1), (0,)))
 
 
+def test_antisymmetrize_unsorted_rows_match_permutation_sum():
+    rng = random.Random(16)
+    for n in (1, 2, 3, 4):
+        for d in (1, 2, 3):
+            for _ in range(4):
+                rows = _random_rows(rng, n, d, top=n + 1)
+                assert antisymmetrize(tuple(rows)) == alt_reference(rows, d)
+                assert antisymmetrize(rows) == alt_reference(rows, d)
+
+
 def test_antisymmetrize_random_rows_are_antisymmetric():
     rng = random.Random(7)
     for _ in range(20):
@@ -283,50 +365,6 @@ def test_canonical_str():
     assert p.canonical_str() == "+1·t1^2 u2 -3·u2"
     assert MPoly.zero(2, 3).canonical_str() == "0"
     assert MPoly.const(2, 3, -4).canonical_str() == "-4"
-
-
-# --- column registry -------------------------------------------------------
-
-def test_coeff_vector_round_trip():
-    rng = random.Random(123)
-    for _ in range(10):
-        p = random_poly(rng, 2, 2)
-        idx = MonomialIndex()
-        idx.extend_from(p)
-        vec = coeff_vector(p, idx)
-        back = MPoly.from_terms(
-            2, 2, [(idx.mono_of(col), c) for col, c in vec.items()]
-        )
-        assert back == p
-
-
-def test_coeff_vector_requires_registered_monomials():
-    p = MPoly.variable(2, 1, 0, 0)
-    idx = MonomialIndex()
-    with pytest.raises(UnindexedMonomialError):
-        coeff_vector(p, idx)
-
-
-def test_monomial_index_is_stable():
-    idx = MonomialIndex()
-    a = idx.add((1, 0))
-    b = idx.add((0, 1))
-    assert idx.add((1, 0)) == a
-    assert len(idx) == 2
-    assert idx.mono_of(b) == (0, 1)
-    assert (1, 0) in idx and (2, 2) not in idx
-
-
-def test_extend_from_orders_by_monomial_not_history():
-    # two polynomials with the same terms built in different orders
-    # must register columns identically
-    pairs = [((0, 1), 2), ((1, 0), 3)]
-    p = MPoly.from_terms(1, 2, pairs)
-    q = MPoly.from_terms(1, 2, list(reversed(pairs)))
-    ia, ib = MonomialIndex(), MonomialIndex()
-    ia.extend_from(p)
-    ib.extend_from(q)
-    assert list(ia.monomials()) == list(ib.monomials())
 
 
 def _random_slater_combination(rng, n, d, sets=3):
