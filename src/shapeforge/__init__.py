@@ -14,7 +14,6 @@ from .engine import (
     build_vocabulary,
     enumerate_shapes,
     express_in_basis,
-    module_span_matrix,
     verify_completeness,
     verify_sign_conflict,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "enumerate_shapes",
     "express_in_basis",
     "ground_grade",
-    "module_span_matrix",
     "shape_entropy",
     "shape_poly",
     "slater_basis",

@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+import time
 from pathlib import Path
 
 from .engine import (
@@ -36,6 +37,8 @@ from .serialize import (
     report_to_text,
 )
 from .shiftops import apply_symword
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -176,8 +179,7 @@ def cmd_gen(args) -> int:
 
 # --- verify ------------------------------------------------------------------
 
-def _verify_document(doc: ShapeDocument) -> str | None:
-    """Returns a failure description, or None when everything passes."""
+def _check_counts(doc: ShapeDocument) -> str | None:
     n, d = doc.n, doc.d
     if n < 1 or d < 1 or d % 2 == 0:
         return f"invalid dimensions n={n} d={d}"
@@ -193,8 +195,13 @@ def _verify_document(doc: ShapeDocument) -> str | None:
         histogram[rec.grade] = histogram.get(rec.grade, 0) + 1
     if histogram != {g: c for g, c in enumerate(coeffs) if c}:
         return "grade histogram differs from the shape polynomial"
+    return None
 
-    word_children = set()
+
+def _check_records(doc: ShapeDocument) -> str | None:
+    """Each record is a canonical antisymmetric shape of its grade and
+    replays from its provenance."""
+    n, d = doc.n, doc.d
     for idx, rec in enumerate(doc.records):
         tag = f"record {rec.id}"
         if rec.id != idx:
@@ -227,7 +234,6 @@ def _verify_document(doc: ShapeDocument) -> str | None:
                 return f"{tag}: replay does not reproduce the polynomial"
             if doc.tree.edges.get(rec.id) != (pv.parent, pv.word):
                 return f"{tag}: tree edge disagrees with provenance"
-            word_children.add(rec.id)
         elif pv.kind == "oracle":
             if pv.rows is None:
                 return f"{tag}: oracle provenance missing rows"
@@ -236,7 +242,14 @@ def _verify_document(doc: ShapeDocument) -> str | None:
                 return f"{tag}: oracle replay does not reproduce the polynomial"
         else:
             return f"{tag}: unknown provenance kind {pv.kind!r}"
+    return None
 
+
+def _check_tree(doc: ShapeDocument) -> str | None:
+    """Tree edges are exactly the word records' (each already matched to
+    its provenance), and every extra edge replays with its sign."""
+    word_children = {rec.id for rec in doc.records
+                     if rec.provenance.kind == "word"}
     if set(doc.tree.edges) != word_children:
         return "tree edges do not match word-derived records"
     if doc.tree.root in doc.tree.edges:
@@ -251,20 +264,49 @@ def _verify_document(doc: ShapeDocument) -> str | None:
         prim, _, rel_sign = raw.normalized()
         if prim != doc.records[dst].poly or rel_sign != sign:
             return f"extra edge ({src}, {dst}): replay does not match"
+    return None
 
+
+def _check_certificate(doc: ShapeDocument) -> str | None:
     try:
-        verify_completeness(n, d, doc.records)
+        verify_completeness(doc.n, doc.d, doc.records)
     except IncompletenessError as exc:
         return f"completeness: {exc}"
     return None
 
 
+_CHECKS = (
+    ("counts and histogram", _check_counts),
+    ("record replay", _check_records),
+    ("tree and extra edges", _check_tree),
+    ("certificate", _check_certificate),
+)
+
+
+def _verify_document(doc: ShapeDocument) -> str | None:
+    """Runs the checks in order, each on what the ones before it passed,
+    and logs each with its time.  Returns a failure description, or None
+    when everything passes."""
+    for label, check in _CHECKS:
+        started = time.perf_counter()
+        failure = check(doc)
+        logger.info("verify %s: %s, %.2fs", label,
+                    "ok" if failure is None else "failed",
+                    time.perf_counter() - started)
+        if failure is not None:
+            return failure
+    return None
+
+
 def cmd_verify(args) -> int:
+    started = time.perf_counter()
     try:
         text = Path(args.path).read_text(encoding="utf-8")
         doc = loads_document(text)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         return _fail_usage(f"cannot load {args.path}: {exc}")
+    logger.info("verify load: %d shapes, %.2fs", len(doc.records),
+                time.perf_counter() - started)
     failure = _verify_document(doc)
     if failure is not None:
         print(f"verify failed: {failure}", file=sys.stderr)

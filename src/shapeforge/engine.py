@@ -21,6 +21,18 @@ and is never re-checked; the span matrix has one column per set, and
 content and sign come from the set coefficients.  Only accepted shapes
 are expanded into the particle variables.
 
+Two exact rules settle work in advance, so every decision is the one the
+full computation would make.  Zero by reach: a word kills a row below
+its floor in any coordinate (shiftops.word_floor), so when no row of the
+parent reaches the floor the candidate is zero and the word is never
+applied.  The filter tests only where the word can fail to commute with
+the unit lowering: L_c commutes on a row with any word whose letters on
+c all lower, and one-body operators act particle by particle, so for a
+parent with L_c Psi = 0, L_c W Psi = W L_c Psi = 0 unless W raises on c.
+That needs the parent killed by every unit lowering, as the root and
+every word shape are; an oracle fill may survive some (an annihilation
+warning), and its children are also tested on those coordinates.
+
 If the vocabulary fails to fill a grade, the enumerator falls back to
 single Slater determinants, which span the full antisymmetric space at
 that grade; it takes one only when its normal form (see below) is new,
@@ -39,9 +51,9 @@ a basis there.  That quotient has dimension shape_poly(n, d).coeff(g) at
 grade g, so the certificate reduces every shape to its normal form
 modulo R+ k[X] and checks that, grade by grade, there are exactly that
 many shapes and their normal forms are linearly independent (see
-Sturmfels, Algorithms in Invariant Theory, ch. 1).  module_span_matrix,
-the direct rank of the module span, stays as the reference that tests
-compare the certificate against.
+Sturmfels, Algorithms in Invariant Theory, ch. 1).  The tests keep the
+direct rank of the module span as the reference they compare the
+certificate against.
 
 express_in_basis computes the decomposition itself by exact elimination
 in the same occupation-set coordinates, reading each shape's set
@@ -68,7 +80,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from operator import ge
+from typing import Iterable, Sequence
 
 from .exactla import SparseIntMatrix
 from .multipoly import (
@@ -89,7 +102,14 @@ from .qseries import (
     shape_entropy,
     shape_poly,
 )
-from .shiftops import Letter, SymWord, Word, apply_symword, apply_symword_slater
+from .shiftops import (
+    Letter,
+    SymWord,
+    Word,
+    apply_symword,
+    apply_symword_slater,
+    word_floor,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -244,6 +264,7 @@ class GradeStats:
     zero: int = 0
     survived: int = 0    # rejected: not annihilated by every unit lowering
     in_span: int = 0
+    pruned: int = 0      # zero by reach: settled without applying the word
     skipped: int = 0
     fallback: int = 0
 
@@ -278,16 +299,51 @@ class EnumerationResult:
 # --- descent ---------------------------------------------------------------
 
 def _surviving_coordinates(coeffs: dict[tuple, int],
-                           lowerings: Sequence[SymWord]):
-    """Yield each coordinate whose symmetrized unit lowering leaves the
-    polynomial with these Slater coefficients nonzero.  Every shape
-    vanishes under all of them: the descent rejects candidates that
-    survive one, and the root must not; only oracle fills may survive
-    (they trade the invariant for guaranteed span coverage), which is
-    reported as a warning."""
-    for c, w in enumerate(lowerings):
-        if apply_symword_slater(w, coeffs):
+                           lowerings: Sequence[SymWord],
+                           coordinates: Iterable[int] | None = None):
+    """Yield each of the given coordinates (all by default) whose
+    symmetrized unit lowering leaves the polynomial with these Slater
+    coefficients nonzero.  Every shape vanishes under all of them: the
+    descent rejects candidates that survive one, and the root must not;
+    only oracle fills may survive (they trade the invariant for guaranteed
+    span coverage), which is reported as a warning.  The descent tests a
+    candidate only where its word raises and where its parent survives
+    (_raised_coordinates says why)."""
+    if coordinates is None:
+        coordinates = range(len(lowerings))
+    for c in coordinates:
+        if apply_symword_slater(lowerings[c], coeffs):
             yield c
+
+
+def _raised_coordinates(w: SymWord) -> tuple[int, ...]:
+    """The coordinates on which w has a raising letter.
+
+    On one row, the unit lowering on c commutes with any word whose
+    letters on c all lower (and trivially with one that has none there);
+    a raise-then-lower atom (a, -b) differs from it only on rows with
+    exponent b.  Symmetrized one-body operators act particle by particle,
+    so for Psi killed by the unit lowering L_c and c not listed here,
+    L_c W Psi = W L_c Psi = 0."""
+    return tuple(sorted({l.coordinate for l in w.word.letters if l.step > 0}))
+
+
+def _maximal_rows(coeffs: dict[tuple, int]) -> list[tuple]:
+    """The distinct rows of these occupation sets that no other row
+    dominates componentwise.  A word kills every row below its floor
+    (shiftops.word_floor), so it kills every row iff it kills these."""
+    kept: list[tuple] = []
+    rows = {row for occupied in coeffs for row in occupied}
+    # a row that dominates another has the larger sum, so comes first
+    for row in sorted(rows, key=sum, reverse=True):
+        if not any(all(map(ge, top, row)) for top in kept):
+            kept.append(row)
+    return kept
+
+
+def _reaches(rows: Sequence[tuple], floor: tuple[int, ...]) -> bool:
+    """True iff some row is at or above the floor in every coordinate."""
+    return any(all(map(ge, row, floor)) for row in rows)
 
 
 def enumerate_shapes(
@@ -303,11 +359,14 @@ def enumerate_shapes(
     top = degree_D(d, n)
     bottom = ground_grade(d, n)
     vocab = build_vocabulary(d, config)
-    by_net: dict[int, list[tuple[int, SymWord]]] = {}
+    # each word with its floor and the coordinates where it can fail to
+    # commute with the unit lowering, worked out once per call
+    by_net: dict[int, list[tuple[int, SymWord, tuple, tuple]]] = {}
     for widx, w in enumerate(vocab.words):
         if _is_single_unit_down(w):
             continue
-        by_net.setdefault(w.net_grade(), []).append((widx, w))
+        by_net.setdefault(w.net_grade(), []).append(
+            (widx, w, word_floor(w, d), _raised_coordinates(w)))
 
     per_grade = {top: GradeStats(expected=1, found=1)}
     report = RunReport(n=n, d=d, vocabulary_size=len(vocab),
@@ -325,14 +384,21 @@ def enumerate_shapes(
         raise AssertionError(
             f"the source shape survives unit lowering on coordinate {survivor}"
         )
+    # per record: its maximal rows, and the coordinates whose unit lowering
+    # it survives (none, except for oracle fills)
+    tops = [_maximal_rows(records[0].slater)]
+    unkilled: list[tuple[int, ...]] = [()]
     _log_grade(top, per_grade[top], t0)
 
-    def accept(g: int, prim: dict[tuple, int], provenance: Provenance) -> int:
+    def accept(g: int, prim: dict[tuple, int], provenance: Provenance,
+               survives: tuple[int, ...] = ()) -> int:
         rid = len(records)
         records.append(_with_slater(
             ShapeRecord(rid, g, slater_to_poly(prim, n, d), provenance,
                         shape_entropy(n, d, g)),
             prim))
+        tops.append(_maximal_rows(prim))
+        unkilled.append(survives)
         return rid
 
     for g in range(top - 1, bottom - 1, -1):
@@ -351,23 +417,33 @@ def enumerate_shapes(
         # tag rejected candidates that reproduce a known shape
         accepted_here: dict[frozenset, int] = {}
         candidates = [
-            (rec, widx, w)
+            (rec, entry)
             for rec in records
             if rec.grade > g
-            for widx, w in by_net.get(g - rec.grade, ())
+            for entry in by_net.get(g - rec.grade, ())
         ]
         consumed = 0
-        for rec, widx, w in candidates:
+        for rec, (widx, w, floor, raised) in candidates:
             if stats.found == expected and not config.exhaustive:
                 break
             consumed += 1
             stats.tried += 1
+            if not _reaches(tops[rec.id], floor):
+                # the word kills every row of the parent
+                stats.zero += 1
+                stats.pruned += 1
+                report.decisions.append((g, rec.id, widx, "zero", None))
+                continue
             chi = apply_symword_slater(w, rec.slater)
             if not chi:
                 stats.zero += 1
                 report.decisions.append((g, rec.id, widx, "zero", None))
                 continue
-            if next(_surviving_coordinates(chi, lowerings), None) is not None:
+            tested = raised
+            if unkilled[rec.id]:
+                tested = sorted({*raised, *unkilled[rec.id]})
+            if next(_surviving_coordinates(chi, lowerings, tested),
+                    None) is not None:
                 stats.survived += 1
                 report.decisions.append((g, rec.id, widx, "survives", None))
                 continue
@@ -413,14 +489,15 @@ def enumerate_shapes(
             for rows in slater_basis(n, d, g):
                 if normal_forms.extend(slater_to_poly({rows: 1}, n, d)):
                     prim, cont, sign = slater_normalized({rows: 1})
+                    survives = tuple(_surviving_coordinates(prim, lowerings))
                     rid = accept(g, prim,
                                  Provenance(kind="oracle", rows=rows,
-                                            content=cont, sign=sign))
+                                            content=cont, sign=sign),
+                                 survives)
                     stats.found += 1
                     stats.fallback += 1
                     filled += 1
-                    for c in _surviving_coordinates(records[rid].slater,
-                                                    lowerings):
+                    for c in survives:
                         logger.warning("shape %d survives unit lowering on "
                                        "coordinate %d", rid, c)
                         report.annihilation_warnings.append((rid, c))
@@ -447,8 +524,9 @@ def enumerate_shapes(
 def _log_grade(g: int, stats: GradeStats, started: float):
     logger.info(
         "grade %d: found %d/%d, tried %d, zero %d, survived %d, in_span %d, "
-        "%.2fs", g, stats.found, stats.expected, stats.tried, stats.zero,
-        stats.survived, stats.in_span, time.perf_counter() - started)
+        "pruned %d, %.2fs", g, stats.found, stats.expected, stats.tried,
+        stats.zero, stats.survived, stats.in_span, stats.pruned,
+        time.perf_counter() - started)
 
 
 # --- symmetric-generator monomials ------------------------------------------
@@ -486,35 +564,6 @@ def _generator_expansion(n: int, d: int, gexp: tuple) -> MPoly:
                 c, j + 1, n, d
             )
     return MPoly.const(n, d, 1)
-
-
-def module_span_matrix(
-    g: int, records: Sequence[ShapeRecord], n: int, d: int
-) -> SparseIntMatrix:
-    """Exact row space of {generator monomial * shape} at grade g.
-
-    Its rank equals the state count at every grade exactly when the shapes
-    span the antisymmetric module; tests use it as the reference for the
-    normal-form certificate in verify_completeness.  Feeding rows in
-    descending leading-monomial order makes most of them land on fresh
-    pivot columns, so the elimination stays cheap.
-    """
-    recipes = []
-    support: set[tuple] = set()
-    for rec in records:
-        if rec.grade > g:
-            continue
-        for gexp in generator_monomials(n, d, g - rec.grade):
-            prod = _generator_expansion(n, d, gexp) * rec.poly
-            support.update(prod.terms)
-            recipes.append((prod.leading_monomial(), rec.id, gexp, rec))
-    cols = {mono: col for col, mono in enumerate(sorted(support, reverse=True))}
-    matrix = SparseIntMatrix(ncols=len(cols))
-    recipes.sort(key=lambda r: (cols[r[0]], r[1], r[2]))
-    for _, _, gexp, rec in recipes:
-        prod = _generator_expansion(n, d, gexp) * rec.poly
-        matrix.try_extend({cols[m]: c for m, c in prod.terms.items()})
-    return matrix
 
 
 class _CoinvariantReducer:

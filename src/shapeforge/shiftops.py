@@ -119,6 +119,20 @@ def apply_symword(sw: SymWord, p: MPoly) -> MPoly:
     return out
 
 
+def word_floor(sw: SymWord, d: int) -> tuple[int, ...]:
+    """The least exponent a row needs in each coordinate to survive the
+    word: the deepest running drop of the word's letters on that
+    coordinate, applied right to left.  A row below the floor in any
+    coordinate is killed, and only such rows are, since letters on
+    different coordinates never interact."""
+    run = [0] * d
+    floor = [0] * d
+    for c, step in reversed(sw.word.letters):
+        run[c] += step
+        floor[c] = max(floor[c], -run[c])
+    return tuple(floor)
+
+
 _UNSEEN = object()
 
 

@@ -22,7 +22,6 @@ from shapeforge.engine import (
     enumerate_shapes,
     express_in_basis,
     generator_monomials,
-    module_span_matrix,
     verify_completeness,
     verify_sign_conflict,
 )
@@ -45,6 +44,8 @@ from shapeforge.shiftops import (
     symword,
     word,
 )
+
+from span_reference import module_span_matrix
 
 F = Statistics.FERMION
 B = Statistics.BOSON
@@ -195,6 +196,11 @@ def test_criterion_8_scale_up(timed43, capsys):
         assert result.histogram() == {g: c for g, c in enumerate(coeffs) if c}
         triples = verify_completeness(4, 3, result.records)
         assert [(g, rank) for g, _, rank in triples] == list(enumerate(coeffs))
+        # the descent's candidate totals: tried, zero, survived, in_span
+        stats = result.report.per_grade.values()
+        assert tuple(sum(getattr(s, k) for s in stats)
+                     for k in ("tried", "zero", "survived", "in_span")) == \
+            (9784, 3475, 4427, 1307)
         # the records and the tree, pinned byte for byte
         polys = "\n".join(rec.poly.canonical_str() for rec in result.records)
         assert hashlib.sha256((polys + "\n").encode()).hexdigest() == (

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -220,6 +222,40 @@ def damaged(tmp_path, text, mutate):
     path = tmp_path / "shapes.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+VERIFY_CHECKS = ("counts and histogram", "record replay",
+                 "tree and extra edges", "certificate")
+
+
+def _verify_log(caplog, capsys, path):
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="shapeforge.cli"):
+        rc, _, _ = run(capsys, "--verbose", "verify", path)
+    return rc, [r.getMessage() for r in caplog.records
+                if r.name == "shapeforge.cli"]
+
+
+def test_verify_verbose_logs_each_check_with_its_time(tmp_path, capsys,
+                                                      caplog, artifact_text):
+    path = tmp_path / "shapes.json"
+    path.write_text(artifact_text)
+    rc, lines = _verify_log(caplog, capsys, str(path))
+    assert rc == 0
+    assert len(lines) == 1 + len(VERIFY_CHECKS)
+    assert re.fullmatch(r"verify load: 4 shapes, \d+\.\d\ds", lines[0])
+    for line, label in zip(lines[1:], VERIFY_CHECKS):
+        assert re.fullmatch(rf"verify {label}: ok, \d+\.\d\ds", line), line
+
+    # a failed check is logged as such, and the checks after it do not run
+    def mutate(doc):
+        doc["shapes"][0]["poly"][0]["coef"] = "2"
+    rc, lines = _verify_log(caplog, capsys,
+                            damaged(tmp_path, artifact_text, mutate))
+    assert rc == 5
+    assert [line.split(":")[0] for line in lines] == [
+        "verify load", "verify counts and histogram", "verify record replay"]
+    assert lines[-1].startswith("verify record replay: failed, ")
 
 
 def test_verify_rejects_perturbed_coefficient(tmp_path, capsys, artifact_text):

@@ -15,13 +15,15 @@ from shapeforge.engine import (
     IncompletenessError,
     _CoinvariantReducer,
     _coordinate_atoms,
+    _maximal_rows,
+    _raised_coordinates,
+    _reaches,
     _surviving_coordinates,
     assemble,
     build_vocabulary,
     enumerate_shapes,
     express_in_basis,
     generator_monomials,
-    module_span_matrix,
     verify_completeness,
     verify_sign_conflict,
 )
@@ -46,8 +48,11 @@ from shapeforge.shiftops import (
     apply_symword,
     apply_symword_slater,
     symword,
+    word_floor,
     word_to_str,
 )
+
+from span_reference import module_span_matrix
 
 
 # --- vocabulary ------------------------------------------------------------
@@ -279,7 +284,108 @@ def test_grade_progress_is_logged(caplog):
         assert line.startswith(
             f"grade {g}: found {s.found}/{s.expected}, tried {s.tried}, "
             f"zero {s.zero}, survived {s.survived}, in_span {s.in_span}, ")
+        assert f", in_span {s.in_span}, pruned {s.pruned}, " in line
         assert line.endswith("s")
+    assert result.report.per_grade[1].pruned == 5
+
+
+# --- exact pruning -------------------------------------------------------------
+
+def _row_image(w, row):
+    """The word applied to one row, rightmost letter first; None if a
+    lowering goes below 0."""
+    r = list(row)
+    for c, step in reversed(w.word.letters):
+        r[c] += step
+        if r[c] < 0:
+            return None
+    return tuple(r)
+
+
+@pytest.fixture(scope="module")
+def pruning_pairs():
+    """(record, word, annihilated) triples: every pair at (2,3) and (3,3),
+    400 seeded pairs at (2,5), and every pair over the records of two
+    crippled (3,3) vocabularies, whose oracle fills may survive unit
+    lowerings."""
+    out = []
+    for n, d, config in ((2, 3, EngineConfig()), (3, 3, EngineConfig()),
+                         (3, 3, EngineConfig(max_letters=1)),
+                         (3, 3, EngineConfig(max_amount=1))):
+        result = enumerate_shapes(n, d, config)
+        warned = {rid for rid, _ in result.report.annihilation_warnings}
+        out += [(rec, w, rec.id not in warned)
+                for rec in result.records for w in build_vocabulary(d).words]
+    rng = random.Random(2025)
+    records = enumerate_shapes(2, 5).records
+    words = build_vocabulary(5).words
+    out += [(rng.choice(records), rng.choice(words), True)
+            for _ in range(400)]
+    return out
+
+
+def test_word_floor_kills_exactly_the_rows_below_it(pruning_pairs):
+    assert word_floor(symword((0, 1), (0, -2), (1, -1)), 3) == (2, 1, 0)
+    assert word_floor(symword((0, -1), (0, 2)), 2) == (0, 0)
+    for rec, w, _ in pruning_pairs:
+        floor = word_floor(w, rec.poly.d)
+        rows = {row for occupied in rec.slater for row in occupied}
+        for row in rows:
+            assert (_row_image(w, row) is None) == \
+                any(x < f for x, f in zip(row, floor)), (str(w), row)
+        # the maximal rows reach a floor exactly when some row does
+        assert _reaches(_maximal_rows(rec.slater), floor) == \
+            _reaches(list(rows), floor)
+
+
+def test_zero_by_reach_matches_word_application(pruning_pairs):
+    pruned = 0
+    for rec, w, _ in pruning_pairs:
+        if not _reaches(_maximal_rows(rec.slater), word_floor(w, rec.poly.d)):
+            pruned += 1
+            assert apply_symword_slater(w, rec.slater) == {}, (rec.id, str(w))
+    assert pruned > len(pruning_pairs) // 2
+
+
+def test_unit_lowering_commutes_off_the_raised_coordinates(pruning_pairs):
+    lowerings = [symword((c, -1)) for c in range(5)]
+    violations = 0
+    for rec, w, annihilated in pruning_pairs:
+        d = rec.poly.d
+        raised = _raised_coordinates(w)
+        # for a vocabulary word, exactly the coordinates of its
+        # raise-then-lower atoms
+        assert raised == tuple(sorted(
+            a.coordinate for a, b in zip(w.word.letters, w.word.letters[1:])
+            if a.coordinate == b.coordinate))
+        chi = apply_symword_slater(w, rec.slater)
+        survives = set(_surviving_coordinates(rec.slater, lowerings[:d]))
+        assert annihilated == (not survives)
+        for c in range(d):
+            if c in raised or c in survives:
+                continue
+            assert apply_symword_slater(lowerings[c], chi) == {}, \
+                (rec.id, str(w), c)
+        if not annihilated:
+            violations += any(
+                apply_symword_slater(lowerings[c], chi)
+                for c in range(d) if c not in raised)
+    # negative control: on an oracle fill that survives a unit lowering,
+    # testing only the raised coordinates would pass a survivor
+    assert violations > 0
+
+
+@pytest.mark.parametrize("n,d,totals,pruned", [
+    (3, 3, (2261, 1854, 153, 219), 1731),
+    (2, 5, (1385, 1340, 0, 30), 1340),
+])
+def test_exhaustive_candidate_totals_are_pinned(n, d, totals, pruned):
+    stats = enumerate_shapes(n, d, EngineConfig(exhaustive=True)) \
+        .report.per_grade.values()
+    assert tuple(sum(getattr(s, k) for s in stats)
+                 for k in ("tried", "zero", "survived", "in_span")) == totals
+    assert sum(s.pruned for s in stats) == pruned
+    assert all(s.pruned <= s.zero for s in stats)
 
 
 def test_tree_edges_descend_by_word_net():
