@@ -26,7 +26,13 @@ from .engine import (
     enumerate_shapes,
     verify_completeness,
 )
-from .multipoly import antisymmetrize, slater_basis, source_shape
+from .multipoly import (
+    antisymmetrize,
+    slater_basis,
+    slater_coefficients,
+    slater_normalized,
+    source_shape,
+)
 from .qseries import Statistics, shape_poly, state_count_series
 from .serialize import (
     ShapeDocument,
@@ -36,7 +42,7 @@ from .serialize import (
     loads_document,
     report_to_text,
 )
-from .shiftops import apply_symword
+from .shiftops import apply_symword_slater
 
 logger = logging.getLogger(__name__)
 
@@ -183,9 +189,12 @@ def _check_counts(doc: ShapeDocument) -> str | None:
     n, d = doc.n, doc.d
     if n < 1 or d < 1 or d % 2 == 0:
         return f"invalid dimensions n={n} d={d}"
-    expected_total = math.factorial(n) ** (d - 1)
-    if len(doc.records) != expected_total:
-        return (f"shape count {len(doc.records)} != {expected_total}; "
+    # n!^(d-1) >= n^(d-1), so an n or d whose n^(d-1) already exceeds the
+    # count fails at once: a malformed one can make n!^(d-1) too large to form
+    count = len(doc.records)
+    if (n > 1 and d - 1 > math.log(count + 1) / math.log(n)
+            or count != math.factorial(n) ** (d - 1)):
+        return (f"shape count {count} != n!^(d-1) for n={n} d={d}; "
                 f"empty or truncated artifact")
     coeffs = list(shape_poly(n, d, Statistics.FERMION).coeffs)
     if doc.shape_poly != coeffs:
@@ -200,7 +209,8 @@ def _check_counts(doc: ShapeDocument) -> str | None:
 
 def _check_records(doc: ShapeDocument) -> str | None:
     """Each record is a canonical antisymmetric shape of its grade and
-    replays from its provenance."""
+    replays from its provenance, in occupation-set coordinates: a word
+    acts on the parent's Slater coefficients as in the descent."""
     n, d = doc.n, doc.d
     for idx, rec in enumerate(doc.records):
         tag = f"record {rec.id}"
@@ -211,10 +221,11 @@ def _check_records(doc: ShapeDocument) -> str | None:
             return f"{tag}: zero polynomial"
         if not p.is_homogeneous() or p.grade() != rec.grade:
             return f"{tag}: polynomial grade differs from the stated grade"
-        if not p.is_antisymmetric():
-            return f"{tag}: polynomial is not antisymmetric"
-        prim, content, sign = p.normalized()
-        if content != 1 or sign != 1:
+        try:
+            coeffs = rec.slater
+        except ValueError as exc:
+            return str(exc)
+        if slater_normalized(coeffs)[1:] != (1, 1):
             return f"{tag}: polynomial is not in canonical form"
         pv = rec.provenance
         if pv.kind == "root":
@@ -222,32 +233,34 @@ def _check_records(doc: ShapeDocument) -> str | None:
                 return f"{tag}: root provenance on a non-root id"
             if pv.content != 1 or pv.sign != 1 or p != source_shape(n, d):
                 return f"{tag}: root does not replay to the source shape"
-        elif pv.kind == "word":
+            continue
+        if pv.kind == "word":
             if pv.parent is None or pv.word is None:
                 return f"{tag}: word provenance missing parent or word"
             if not 0 <= pv.parent < rec.id:
                 return f"{tag}: parent id out of range"
-            raw = apply_symword(pv.word, doc.records[pv.parent].poly)
-            if raw.is_zero():
-                return f"{tag}: replay gives zero"
-            if raw.normalized() != (p, pv.content, pv.sign):
-                return f"{tag}: replay does not reproduce the polynomial"
-            if doc.tree.edges.get(rec.id) != (pv.parent, pv.word):
-                return f"{tag}: tree edge disagrees with provenance"
+            raw = apply_symword_slater(pv.word, doc.records[pv.parent].slater)
         elif pv.kind == "oracle":
             if pv.rows is None:
                 return f"{tag}: oracle provenance missing rows"
-            raw = antisymmetrize(list(pv.rows))
-            if raw.is_zero() or raw.normalized() != (p, pv.content, pv.sign):
-                return f"{tag}: oracle replay does not reproduce the polynomial"
+            # the listed row order carries the sign
+            raw = slater_coefficients(antisymmetrize(list(pv.rows)))
         else:
             return f"{tag}: unknown provenance kind {pv.kind!r}"
+        if not raw:
+            return f"{tag}: replay gives zero"
+        if slater_normalized(raw) != (coeffs, pv.content, pv.sign):
+            return f"{tag}: replay does not reproduce the polynomial"
+        if pv.kind == "word" and (doc.tree.edges.get(rec.id)
+                                  != (pv.parent, pv.word)):
+            return f"{tag}: tree edge disagrees with provenance"
     return None
 
 
 def _check_tree(doc: ShapeDocument) -> str | None:
     """Tree edges are exactly the word records' (each already matched to
-    its provenance), and every extra edge replays with its sign."""
+    its provenance), and every extra edge replays with its sign, in
+    occupation-set coordinates like the records."""
     word_children = {rec.id for rec in doc.records
                      if rec.provenance.kind == "word"}
     if set(doc.tree.edges) != word_children:
@@ -258,11 +271,11 @@ def _check_tree(doc: ShapeDocument) -> str | None:
     for src, dst, word, sign in doc.tree.extra_edges:
         if src not in ids or dst not in ids:
             return f"extra edge ({src}, {dst}) references unknown ids"
-        raw = apply_symword(word, doc.records[src].poly)
-        if raw.is_zero():
+        raw = apply_symword_slater(word, doc.records[src].slater)
+        if not raw:
             return f"extra edge ({src}, {dst}): replay gives zero"
-        prim, _, rel_sign = raw.normalized()
-        if prim != doc.records[dst].poly or rel_sign != sign:
+        prim, _, rel_sign = slater_normalized(raw)
+        if prim != doc.records[dst].slater or rel_sign != sign:
             return f"extra edge ({src}, {dst}): replay does not match"
     return None
 
@@ -301,9 +314,9 @@ def _verify_document(doc: ShapeDocument) -> str | None:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     try:
-        text = Path(args.path).read_text(encoding="utf-8")
-        doc = loads_document(text)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        with open(args.path, encoding="utf-8") as fh:
+            doc = loads_document(fh)
+    except (OSError, KeyError, ValueError, RecursionError) as exc:
         return _fail_usage(f"cannot load {args.path}: {exc}")
     logger.info("verify load: %d shapes, %.2fs", len(doc.records),
                 time.perf_counter() - started)

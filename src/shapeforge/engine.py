@@ -106,7 +106,6 @@ from .shiftops import (
     Letter,
     SymWord,
     Word,
-    apply_symword,
     apply_symword_slater,
     word_floor,
 )
@@ -228,10 +227,11 @@ class ShapeRecord:
         try:
             coeffs = slater_coefficients(self.poly)
         except ValueError:
-            raise ValueError(f"record {self.id} is not antisymmetric") from None
+            raise ValueError(f"record {self.id}: polynomial is not "
+                             f"antisymmetric") from None
         if len({_multidegree(rows) for rows in coeffs}) != 1:
-            raise ValueError(
-                f"record {self.id} is not homogeneous in each coordinate")
+            raise ValueError(f"record {self.id}: polynomial is not "
+                             f"homogeneous in each coordinate")
         return coeffs
 
 
@@ -449,7 +449,6 @@ def enumerate_shapes(
                 continue
             for rows in chi:
                 columns.setdefault(rows, len(columns))
-            matrix.resize(len(columns))
             prim, cont, sign = slater_normalized(chi)
             if matrix.try_extend({columns[rows]: c for rows, c in chi.items()}):
                 rid = accept(g, prim, Provenance(kind="word", parent=rec.id,
@@ -662,7 +661,6 @@ class _NormalFormSpan:
         cols = self.cols
         for mono in sorted(nf, reverse=True):
             cols.setdefault(mono, len(cols))
-        self.matrix.resize(len(cols))
         return self.matrix.try_extend({cols[m]: c for m, c in nf.items()})
 
 
@@ -720,24 +718,24 @@ def verify_sign_conflict(n: int = 3, d: int = 3) -> int:
         raise ValueError("the route words use three coordinates; d must be odd and >= 3")
     if n < 2:
         raise ValueError("n must be at least 2")
-    s = source_shape(n, d)
-    target = s.grade() - 5
-    route_a = apply_symword(
+    s = slater_coefficients(source_shape(n, d))
+    target = sum(map(sum, next(iter(s)))) - 5
+    route_a = apply_symword_slater(
         SymWord(Word((Letter(2, -1), Letter(0, -2)))),
-        apply_symword(SymWord(Word((Letter(1, -1), Letter(0, -1)))), s),
+        apply_symword_slater(SymWord(Word((Letter(1, -1), Letter(0, -1)))), s),
     )
-    route_b = apply_symword(
+    route_b = apply_symword_slater(
         SymWord(Word((Letter(1, -1), Letter(0, -2)))),
-        apply_symword(SymWord(Word((Letter(2, -1), Letter(0, -1)))), s),
+        apply_symword_slater(SymWord(Word((Letter(2, -1), Letter(0, -1)))), s),
     )
-    if route_a.is_zero() or route_b.is_zero():
+    if not route_a or not route_b:
         raise NotationRegressionError("a lowering route collapsed to zero")
-    if not (route_a.is_homogeneous() and route_a.grade() == target
-            and route_b.grade() == target):
+    # the grade of Alt(rows) is the sum of its rows' exponents
+    if any(sum(map(sum, rows)) != target for rows in (*route_a, *route_b)):
         raise NotationRegressionError(f"lowering routes landed off grade {target}")
-    if (route_a + route_b).is_zero():
+    if route_a == {rows: -c for rows, c in route_b.items()}:
         return -1
-    if (route_a - route_b).is_zero():
+    if route_a == route_b:
         return 1
     raise NotationRegressionError("lowering routes are not proportional")
 

@@ -22,45 +22,20 @@ from __future__ import annotations
 import math
 
 
-class ColumnSpaceMismatchError(ValueError):
-    """Candidate uses a column outside the matrix's declared column space."""
-
-
 class SparseIntMatrix:
     """Grow-only echelon of sparse integer rows."""
 
-    __slots__ = ("_pivots", "_ncols")
+    __slots__ = ("_pivots",)
 
-    def __init__(self, ncols: int | None = None):
+    def __init__(self):
         self._pivots: dict[int, dict[int, int]] = {}
-        self._ncols = ncols
 
     def rank(self) -> int:
         return len(self._pivots)
 
-    @property
-    def ncols(self) -> int | None:
-        return self._ncols
-
-    def resize(self, ncols: int):
-        """Widen the declared column space; shrinking is not allowed."""
-        if self._ncols is not None and ncols < self._ncols:
-            raise ValueError("cannot shrink column space")
-        self._ncols = ncols
-
-    def _check_columns(self, vec: dict[int, int]):
-        if self._ncols is None:
-            return
-        for col in vec:
-            if not 0 <= col < self._ncols:
-                raise ColumnSpaceMismatchError(
-                    f"column {col} outside 0..{self._ncols - 1}"
-                )
-
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         """The primitive residual of vec against the echelon (see the
         module docstring); empty exactly when vec lies in the span."""
-        self._check_columns(vec)
         v = {c: x for c, x in vec.items() if x}
         while v:
             col = min(v)

@@ -207,7 +207,8 @@ class MPoly:
 
     def is_antisymmetric(self) -> bool:
         """True iff every particle permutation multiplies self by its sign,
-        that is, iff slater_coefficients accepts self."""
+        that is, iff slater_coefficients accepts self (monomial reference;
+        the package itself calls slater_coefficients)."""
         try:
             slater_coefficients(self)
         except ValueError:
@@ -227,7 +228,8 @@ class MPoly:
 
     def normalized(self) -> tuple["MPoly", int, int]:
         """Split into (primitive positive-leading polynomial, content, sign)
-        with self == sign * content * primitive."""
+        with self == sign * content * primitive: the monomial reference for
+        slater_normalized."""
         if not self.terms:
             raise ValueError("cannot normalize the zero polynomial")
         cont = self.content()

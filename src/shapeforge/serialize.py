@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .engine import (
     BranchingTree,
@@ -298,8 +298,13 @@ def dumps_document(doc: ShapeDocument) -> str:
     return "".join(document_pieces(doc))
 
 
-def loads_document(text: str) -> ShapeDocument:
-    return document_from_dict(json.loads(text))
+def loads_document(source: str | TextIO) -> ShapeDocument:
+    """Parse a document from its text or from a text file.  A file's text
+    lives only inside json.load, so it is freed before the document is
+    built; a caller that passed the text itself would hold it until this
+    returns."""
+    data = json.loads(source) if isinstance(source, str) else json.load(source)
+    return document_from_dict(data)
 
 
 # --- DOT -----------------------------------------------------------------

@@ -15,7 +15,10 @@ polynomial held as Slater coefficients ({rows ascending: coefficient},
 see multipoly.slater_coefficients) it acts on one occupied row at a time
 (Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry, ch. 2):
 apply_symword_slater never expands a determinant, and its result is
-antisymmetric by construction.
+antisymmetric by construction.  The descent and `shapeforge verify` both
+act through it.  apply_symword, apply_word_at and apply_letter_at act on
+the monomial form (MPoly), n! times larger; they are the independent
+reference the tests check apply_symword_slater against.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def word_net_grade(w: Word | SymWord) -> int:
 
 
 def apply_letter_at(letter: Letter, k: int, p: MPoly) -> MPoly:
-    """Apply one letter at particle k.
+    """Apply one letter at particle k (monomial reference).
 
     No coefficients ever merge here: raising shifts all exponents by the
     same amount and lowering either shifts or discards, so distinct
@@ -103,7 +106,8 @@ def apply_letter_at(letter: Letter, k: int, p: MPoly) -> MPoly:
 
 
 def apply_word_at(w: Word, k: int, p: MPoly) -> MPoly:
-    """Apply a word at particle k, rightmost letter first."""
+    """Apply a word at particle k, rightmost letter first (monomial
+    reference)."""
     for letter in reversed(w.letters):
         if p.is_zero():
             return p
@@ -112,7 +116,8 @@ def apply_word_at(w: Word, k: int, p: MPoly) -> MPoly:
 
 
 def apply_symword(sw: SymWord, p: MPoly) -> MPoly:
-    """Sum of the word applied at every particle index."""
+    """Sum of the word applied at every particle index: the monomial
+    reference for apply_symword_slater."""
     out = MPoly.zero(p.n, p.d)
     for k in range(p.n):
         out = out + apply_word_at(sw.word, k, p)

@@ -28,7 +28,7 @@ def module_span_matrix(
             support.update(prod.terms)
             recipes.append((prod.leading_monomial(), rec.id, gexp, rec))
     cols = {mono: col for col, mono in enumerate(sorted(support, reverse=True))}
-    matrix = SparseIntMatrix(ncols=len(cols))
+    matrix = SparseIntMatrix()
     recipes.sort(key=lambda r: (cols[r[0]], r[1], r[2]))
     for _, _, gexp, rec in recipes:
         prod = _generator_expansion(n, d, gexp) * rec.poly

@@ -4,12 +4,14 @@ import json
 import logging
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from shapeforge.cli import main
 from shapeforge.engine import IncompletenessError, enumerate_shapes
+from shapeforge.serialize import document_from_dict
 
 
 def run(capsys, *argv):
@@ -285,6 +287,15 @@ def test_verify_rejects_wrong_descent_word(tmp_path, capsys, artifact_text):
     assert "replay" in err
 
 
+def test_verify_rejects_negated_shape(tmp_path, capsys, artifact_text):
+    def mutate(doc):
+        for term in doc["shapes"][1]["poly"]:
+            term["coef"] = str(-int(term["coef"]))
+    rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
+    assert rc == 5
+    assert "record 1: polynomial is not in canonical form" in err
+
+
 def test_verify_rejects_relabeled_grade(tmp_path, capsys, artifact_text):
     def mutate(doc):
         doc["shapes"][1]["grade"] = 2
@@ -354,6 +365,121 @@ def test_verify_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     rc, _, err = run(capsys, "verify", str(path))
     assert rc == 2
+
+
+def test_verify_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "shapes.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    rc, _, err = run(capsys, "verify", str(path))
+    assert rc == 2
+    assert "cannot load" in err
+
+
+@pytest.mark.parametrize("n", [5000, 10**400], ids=["5000", "1e400"])
+def test_verify_huge_particle_count(tmp_path, capsys, artifact_text, n):
+    # n!^(d-1) is too large to print, or to form at all
+    def mutate(doc):
+        doc["n"] = n
+        doc["shapes"] = []
+    rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
+    assert rc == 5
+    assert "shape count" in err
+    assert f"n={n} d=3" in err
+
+
+def test_verify_frees_text_before_building_document(tmp_path, capsys,
+                                                    artifact_text,
+                                                    monkeypatch):
+    # whitespace padding makes the text far larger than what it parses to
+    path = tmp_path / "shapes.json"
+    path.write_text(artifact_text + " " * 20_000_000)
+    held = []
+
+    def spy(data):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return document_from_dict(data)
+
+    monkeypatch.setattr("shapeforge.serialize.document_from_dict", spy)
+    tracemalloc.start()
+    try:
+        rc, _, _ = run(capsys, "verify", str(path))
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert held[0] < 10_000_000
+
+
+# --- verify replay on artifacts with extra edges and oracle records ----------
+
+@pytest.fixture(scope="module")
+def artifacts_33(tmp_path_factory):
+    """(3,3) artifacts: the default run (19 extra edges) and a run whose
+    grades the oracle fills (--max-letters 1)."""
+    texts = {}
+    for key, extra in (("extra", ()), ("oracle", ("--max-letters", "1"))):
+        out = tmp_path_factory.mktemp(key)
+        assert main(["gen", "-N", "3", "-d", "3", *extra,
+                     "--out", str(out)]) == 0
+        texts[key] = (out / "shapes.json").read_text()
+    assert len(json.loads(texts["extra"])["tree"]["extra_edges"]) == 19
+    assert any(s["provenance"]["kind"] == "oracle"
+               for s in json.loads(texts["oracle"])["shapes"])
+    return texts
+
+
+@pytest.mark.parametrize("key", ["extra", "oracle"])
+def test_verify_accepts_extra_edges_and_oracle_records(tmp_path, capsys,
+                                                       artifacts_33, key):
+    path = tmp_path / "shapes.json"
+    path.write_text(artifacts_33[key])
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0
+    assert "verified 36 shapes for n=3 d=3" in out
+
+
+def _flip_extra_edge_sign(doc):
+    edge = doc["tree"]["extra_edges"][0]
+    edge["sign"] = -edge["sign"]
+
+
+def _retarget_extra_edge(doc):
+    edge = doc["tree"]["extra_edges"][0]
+    grade = doc["shapes"][edge["to"]]["grade"]
+    edge["to"] = next(s["id"] for s in doc["shapes"]
+                      if s["grade"] == grade and s["id"] != edge["to"])
+
+
+def _first_provenance(doc, kind):
+    return next(s["provenance"] for s in doc["shapes"]
+                if s["provenance"]["kind"] == kind)
+
+
+def _flip_provenance_sign(kind):
+    def mutate(doc):
+        pv = _first_provenance(doc, kind)
+        pv["sign"] = -pv["sign"]
+    return mutate
+
+
+def _swap_oracle_rows(doc):
+    rows = _first_provenance(doc, "oracle")["rows"]
+    rows[0], rows[1] = rows[1], rows[0]
+
+
+@pytest.mark.parametrize("key,mutate", [
+    ("extra", _flip_extra_edge_sign),
+    ("extra", _retarget_extra_edge),
+    ("extra", _flip_provenance_sign("word")),
+    ("oracle", _flip_provenance_sign("oracle")),
+    ("oracle", _swap_oracle_rows),
+], ids=["extra-edge-sign", "extra-edge-target", "word-sign", "oracle-sign",
+        "oracle-rows-swapped"])
+def test_verify_rejects_replay_edits(tmp_path, capsys, artifacts_33, key,
+                                     mutate):
+    rc, _, err = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33[key], mutate))
+    assert rc == 5
+    assert "replay" in err
 
 
 # --- count ------------------------------------------------------------------

@@ -1,9 +1,7 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from shapeforge.exactla import ColumnSpaceMismatchError, SparseIntMatrix
+from shapeforge.exactla import SparseIntMatrix
 
 
 def oracle_rank(rows, ncols):
@@ -160,19 +158,6 @@ def test_big_integer_exactness():
     assert m.try_extend({0: 2 * big, 1: 2 * big + 2}) is False
     assert m.try_extend({0: 2 * big, 1: 2 * big + 1})
     assert m.rank() == 2
-
-
-def test_column_space_guard():
-    m = SparseIntMatrix(ncols=3)
-    m.try_extend({0: 1, 2: 5})
-    with pytest.raises(ColumnSpaceMismatchError):
-        m.try_extend({3: 1})
-    with pytest.raises(ColumnSpaceMismatchError):
-        m.try_extend({-1: 1})
-    m.resize(4)
-    assert m.try_extend({3: 1})
-    with pytest.raises(ValueError):
-        m.resize(2)
 
 
 def test_pivot_rows_are_primitive_and_deterministic():
