@@ -62,7 +62,8 @@ symmetric generator acts on a set by raising subsets of its rows
 (Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry,
 ch. 2).  R and every shape are homogeneous in each coordinate
 separately, so the linear system splits into independent blocks, one
-per multidegree, and only the blocks the target touches are solved.
+per multidegree; only the products in the target's blocks are built,
+and each set's image under a generator is worked out once per call.
 The solve is exactla's one reduction kernel on an augmented matrix:
 each product row carries a unit column of its own past the occupation
 sets, so the target's residual names the products that build it.  The
@@ -552,6 +553,36 @@ def generator_monomials(n: int, d: int, degree: int) -> list[tuple]:
     return out
 
 
+def _rising_monomials(per_rise: Sequence[list[tuple]], degree: tuple,
+                      block: tuple) -> Iterable[tuple]:
+    """Generator monomials taking multidegree degree to block, where
+    per_rise[k] is generator_monomials(n, 1, k): e_j raises its coordinate
+    by j, so coordinate c needs a part of weight block[c] - degree[c]."""
+    rise = [b - a for a, b in zip(degree, block)]
+    if min(rise) >= 0:
+        for parts in itertools.product(*(per_rise[k] for k in rise)):
+            yield sum(parts, ())
+
+
+def _lift(coeffs: dict[tuple, int], c: int, j: int,
+          images: dict[tuple, tuple]) -> dict[tuple, int]:
+    """slater_times_elementary(coeffs, c, j), reading each set's image as
+    (set, sign) pairs from images, which it fills on the set's first use."""
+    out: dict[tuple, int] = {}
+    for rows, coeff in coeffs.items():
+        image = images.get(rows)
+        if image is None:
+            image = images[rows] = tuple(
+                slater_times_elementary({rows: 1}, c, j).items())
+        for new, sign in image:
+            v = out.get(new, 0) + sign * coeff
+            if v:
+                out[new] = v
+            else:
+                del out[new]
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _generator_expansion(n: int, d: int, gexp: tuple) -> MPoly:
     """Expand a generator monomial into the particle variables."""
@@ -756,8 +787,9 @@ def express_in_basis(
     Slater coefficients, and a product is built from the shape's by letting
     one elementary symmetric generator at a time act on the occupation sets.
     The products are homogeneous in each coordinate separately, so the
-    system splits into one block per multidegree; only the blocks psi
-    touches are built and solved.  They are reduced in one
+    system splits into one block per multidegree; only the products in
+    psi's blocks are built, and each occupation set's image under a
+    generator is worked out once per call.  They are reduced in one
     SparseIntMatrix, each with an extra unit column past the occupation
     sets, and psi's residual reads the coefficients off those columns.
 
@@ -794,8 +826,10 @@ def express_in_basis(
 
     # generator monomial * shape, by the same recursion as
     # _generator_expansion; intermediate products are shared between
-    # generator monomials, so they are kept for the rest of the call
+    # generator monomials, so they are kept for the rest of the call, and
+    # so is each set's image under each generator (see _lift)
     products: dict[tuple[int, tuple], dict[tuple, int]] = {}
+    lifts: dict[int, dict[tuple, tuple]] = {}
 
     def product(idx: int, gexp: tuple) -> dict[tuple, int]:
         got = products.get((idx, gexp))
@@ -806,29 +840,21 @@ def express_in_basis(
             else:
                 reduced = gexp[:i] + (gexp[i] - 1,) + gexp[i + 1:]
                 c, j = divmod(i, n)
-                got = slater_times_elementary(product(idx, reduced), c, j + 1)
+                got = _lift(product(idx, reduced), c, j + 1,
+                            lifts.setdefault(i, {}))
             products[(idx, gexp)] = got
         return got
 
-    # generator e_j in coordinate c raises that coordinate's degree by j
-    shifts: dict[int, list[tuple[tuple, tuple]]] = {}
+    # only the generator monomials that take a shape into one of psi's blocks
+    per_rise = [generator_monomials(n, 1, k) for k in range(g + 1)]
     recipes = []
     support: set[tuple] = set(target_sets)
     for idx, (_, degree) in shapes.items():
-        k = g - records[idx].grade
-        if k not in shifts:
-            shifts[k] = [
-                (gexp, tuple(
-                    sum(j * e for j, e in enumerate(gexp[c * n:(c + 1) * n], 1))
-                    for c in range(d)))
-                for gexp in generator_monomials(n, d, k)
-            ]
-        for gexp, shift in shifts[k]:
-            if tuple(map(sum, zip(degree, shift))) not in blocks:
-                continue
-            prod = product(idx, gexp)
-            support.update(prod)
-            recipes.append((idx, gexp, prod))
+        for block in blocks:
+            for gexp in _rising_monomials(per_rise, degree, block):
+                prod = product(idx, gexp)
+                support.update(prod)
+                recipes.append((idx, gexp, prod))
     # columns in descending order of the reversed sets compared as tuples
     # of rows: a row-major order, not that of the sets' leading monomials
     # (multipoly._leading_key).  The solution is unique, so the order only

@@ -357,11 +357,11 @@ def slater_coefficients(p: MPoly) -> dict[tuple, int]:
 
 
 def _leading_key(rows: tuple) -> tuple:
-    """The leading monomial of Alt(rows): it gives the particles the rows in
-    descending order, flattened coordinate-major like every exponent
-    vector.  (Comparing rows[::-1] as a tuple of rows is a different,
-    row-major order.)"""
-    return tuple(r[c] for c in range(len(rows[0])) for r in reversed(rows))
+    """The leading monomial of Alt(rows), one tuple per coordinate: it gives
+    the particles the rows in descending order.  Sets of n rows compare as
+    their flattened exponent vectors would, which are never built.
+    (Comparing rows[::-1] as a tuple of rows is a row-major order.)"""
+    return tuple(zip(*reversed(rows)))
 
 
 def slater_normalized(coeffs: Mapping[tuple, int]

@@ -15,9 +15,11 @@ from shapeforge.engine import (
     IncompletenessError,
     _CoinvariantReducer,
     _coordinate_atoms,
+    _lift,
     _maximal_rows,
     _raised_coordinates,
     _reaches,
+    _rising_monomials,
     _surviving_coordinates,
     assemble,
     build_vocabulary,
@@ -32,7 +34,9 @@ from shapeforge.multipoly import (
     OddDimensionRequiredError,
     antisymmetrize,
     elementary_symmetric,
+    slater_basis,
     slater_coefficients,
+    slater_times_elementary,
     source_shape,
 )
 from shapeforge.qseries import (
@@ -585,6 +589,72 @@ def test_express_round_trip_grade_8_several_multidegrees():
     blocks = {tuple(map(sum, zip(*rows))) for rows in slater_coefficients(psi)}
     assert len(blocks) > 1
     assert express_in_basis(psi, records, 3, 3) == built
+
+
+def test_express_round_trip_top_grade():
+    # at the top grade every record takes part, and the root enters with
+    # the all-zero generator monomial
+    rng = random.Random(9)
+    records = enumerate_shapes(3, 3).records
+    assert records[0].grade == degree_D(3, 3) == 9
+    built = [dict() for _ in records]
+    built[0][(0,) * 9] = Fraction(-2)
+    for i in rng.sample(range(1, len(records)), 5):
+        monos = generator_monomials(3, 3, 9 - records[i].grade)
+        for gexp in rng.sample(monos, min(2, len(monos))):
+            built[i][gexp] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    psi = assemble(records, built, 3, 3)
+    assert psi.grade() == 9
+    phis = express_in_basis(psi, records, 3, 3)
+    assert phis == built
+    assert assemble(records, phis, 3, 3) == psi
+
+
+def _weights(n, d, gexp):
+    return tuple(sum(j * e for j, e in enumerate(gexp[c * n:(c + 1) * n], 1))
+                 for c in range(d))
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 5)])
+def test_rising_monomials_are_the_filtered_generator_monomials(n, d):
+    per_rise = [generator_monomials(n, 1, k) for k in range(7)]
+    degree = tuple(range(1, d + 1))
+    for k in range(7):
+        by_block = {}
+        for gexp in generator_monomials(n, d, k):
+            block = tuple(map(sum, zip(degree, _weights(n, d, gexp))))
+            by_block.setdefault(block, []).append(gexp)
+        for block, want in by_block.items():
+            got = list(_rising_monomials(per_rise, degree, block))
+            assert sorted(got) == sorted(want), (k, block)
+    # a zero rise gives only the empty monomial
+    assert list(_rising_monomials(per_rise, degree, degree)) == [(0,) * n * d]
+    # a block below the shape in one coordinate is out of reach, even when
+    # another coordinate makes up the total
+    below = (degree[0] + 2, degree[1] - 1) + degree[2:]
+    assert list(_rising_monomials(per_rise, degree, below)) == []
+
+
+def test_lift_matches_slater_times_elementary():
+    rng = random.Random(31)
+    for n, d in ((2, 3), (3, 3), (2, 5), (4, 3)):
+        basis = slater_basis(n, d, 4)
+        for c in range(d):
+            for j in range(1, n + 1):
+                # one table across several dicts, so later calls read the
+                # images that earlier calls filled
+                images = {}
+                for _ in range(4):
+                    coeffs = {rows: rng.choice((-3, -2, -1, 1, 2, 3))
+                              for rows in rng.sample(basis, 6)}
+                    want = slater_times_elementary(coeffs, c, j)
+                    assert _lift(coeffs, c, j, images) == want, (n, d, c, j)
+    # {0, 3} and {1, 2} both raise to {1, 3}, where the terms cancel
+    images = {}
+    coeffs = {((0,), (3,)): 1, ((1,), (2,)): -1}
+    assert _lift(coeffs, 0, 1, images) == {((0,), (4,)): 1}
+    assert _lift(coeffs, 0, 1, images) == slater_times_elementary(coeffs, 0, 1)
+    assert images[((1,), (2,))] == ((((1,), (3,)), 1),)
 
 
 def test_express_rejects_malformed_records():

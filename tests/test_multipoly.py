@@ -7,6 +7,7 @@ from shapeforge.multipoly import (
     DimensionMismatchError,
     MPoly,
     OddDimensionRequiredError,
+    _leading_key,
     antisymmetrize,
     elementary_symmetric,
     slater_basis,
@@ -422,6 +423,27 @@ def test_slater_to_poly_expands_like_antisymmetrize():
                                                 sets=1 if n * d == 1 else 3)
             assert slater_to_poly(coeffs, n, d) == _alt_sum(coeffs, n, d)
     assert slater_to_poly({}, 2, 3) == MPoly.zero(2, 3)
+
+
+def _flat_leading_key(rows):
+    # the leading monomial of Alt(rows) as an exponent vector: descending
+    # rows, flattened coordinate-major
+    return tuple(r[c] for c in range(len(rows[0])) for r in reversed(rows))
+
+
+def test_leading_key_orders_like_the_flattened_exponent_vector():
+    a, b = ((0, 0), (2, 1)), ((1, 0), (2, 0))
+    assert a[::-1] > b[::-1]
+    assert _flat_leading_key(b) > _flat_leading_key(a)
+    assert _leading_key(b) > _leading_key(a)
+    rng = random.Random(15)
+    for n, d in ((1, 3), (2, 2), (2, 3), (3, 3), (4, 3), (2, 5), (3, 5)):
+        for _ in range(6):
+            sets = list(_random_slater_combination(rng, n, d, sets=12))
+            assert max(sets, key=_leading_key) == \
+                max(sets, key=_flat_leading_key)
+            assert sorted(sets, key=_leading_key) == \
+                sorted(sets, key=_flat_leading_key)
 
 
 def test_slater_normalized_matches_mpoly_normalized():
