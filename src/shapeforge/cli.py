@@ -216,22 +216,23 @@ def _check_records(doc: ShapeDocument) -> str | None:
         tag = f"record {rec.id}"
         if rec.id != idx:
             return f"{tag}: ids are not dense and ascending"
-        p = rec.poly
-        if p.is_zero():
+        if rec.slater == {}:
             return f"{tag}: zero polynomial"
-        if not p.is_homogeneous() or p.grade() != rec.grade:
-            return f"{tag}: polynomial grade differs from the stated grade"
         try:
-            coeffs = rec.slater
+            coeffs = rec.checked_slater()
         except ValueError as exc:
             return str(exc)
+        # Alt(rows) is homogeneous of grade sum(rows)
+        if sum(map(sum, next(iter(coeffs)))) != rec.grade:
+            return f"{tag}: polynomial grade differs from the stated grade"
         if slater_normalized(coeffs)[1:] != (1, 1):
             return f"{tag}: polynomial is not in canonical form"
         pv = rec.provenance
         if pv.kind == "root":
             if rec.id != doc.tree.root:
                 return f"{tag}: root provenance on a non-root id"
-            if pv.content != 1 or pv.sign != 1 or p != source_shape(n, d):
+            if (pv.content != 1 or pv.sign != 1
+                    or coeffs != slater_coefficients(source_shape(n, d))):
                 return f"{tag}: root does not replay to the source shape"
             continue
         if pv.kind == "word":

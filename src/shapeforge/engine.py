@@ -18,8 +18,9 @@ coefficient per set instead of n! monomials.  A symmetrized word is a
 one-body operator and acts on one row of a set at a time
 (shiftops.apply_symword_slater), so antisymmetry holds by construction
 and is never re-checked; the span matrix has one column per set, and
-content and sign come from the set coefficients.  Only accepted shapes
-are expanded into the particle variables.
+content and sign come from the set coefficients.  A record keeps only its
+set coefficients (ShapeRecord.slater); a reader that needs monomials
+expands one record at a time (ShapeRecord.poly) and lets it go.
 
 Two exact rules settle work in advance, so every decision is the one the
 full computation would make.  Zero by reach: a word kills a row below
@@ -198,7 +199,8 @@ def _is_single_unit_down(w: SymWord) -> bool:
 @dataclass(frozen=True)
 class Provenance:
     """How a shape was produced: the root, a lowering word applied to a
-    parent, or an oracle element.  poly == sign * (raw result / content)."""
+    parent, or an oracle element.  The shape's Slater coefficients are
+    sign * (raw result / content)."""
 
     kind: str                       # "root" | "word" | "oracle"
     parent: int | None = None
@@ -212,39 +214,35 @@ class Provenance:
 class ShapeRecord:
     id: int
     grade: int
-    poly: MPoly                     # primitive, positive leading coefficient
+    # {rows ascending: coefficient}: primitive, positive leading coefficient;
+    # None when a loaded record is not antisymmetric (see checked_slater)
+    slater: dict[tuple, int] | None
     provenance: Provenance
     entropy: float
 
-    @functools.cached_property
-    def slater(self) -> dict[tuple, int]:
-        """poly's Slater coefficients {rows ascending: coefficient}.
+    @property
+    def poly(self) -> MPoly:
+        """slater expanded into the particle variables on every access."""
+        if not self.slater:
+            raise ValueError(f"record {self.id}: no polynomial to expand")
+        rows = next(iter(self.slater))
+        return slater_to_poly(self.slater, len(rows), len(rows[0]))
 
-        enumerate_shapes seeds them; otherwise they are read off poly once,
-        by slater_coefficients, which checks antisymmetry exactly.  A poly
-        that is not antisymmetric, or spans more than one multidegree,
-        raises ValueError.
-        """
-        try:
-            coeffs = slater_coefficients(self.poly)
-        except ValueError:
+    def checked_slater(self) -> dict[tuple, int]:
+        """slater, once it is known to be antisymmetric and homogeneous in
+        each coordinate; otherwise ValueError."""
+        if self.slater is None:
             raise ValueError(f"record {self.id}: polynomial is not "
-                             f"antisymmetric") from None
-        if len({_multidegree(rows) for rows in coeffs}) != 1:
+                             f"antisymmetric")
+        if len({_multidegree(rows) for rows in self.slater}) != 1:
             raise ValueError(f"record {self.id}: polynomial is not "
                              f"homogeneous in each coordinate")
-        return coeffs
+        return self.slater
 
 
 def _multidegree(rows: tuple) -> tuple:
     """Degree in each coordinate of Alt(rows)."""
     return tuple(map(sum, zip(*rows)))
-
-
-def _with_slater(rec: ShapeRecord, coeffs: dict[tuple, int]) -> ShapeRecord:
-    """Seed rec.slater with coefficients known by construction."""
-    vars(rec)["slater"] = coeffs
-    return rec
 
 
 @dataclass
@@ -373,11 +371,8 @@ def enumerate_shapes(
     report = RunReport(n=n, d=d, vocabulary_size=len(vocab),
                        per_grade=per_grade)
 
-    src = source_shape(n, d)
-    records = [_with_slater(
-        ShapeRecord(0, top, src, Provenance(kind="root"),
-                    shape_entropy(n, d, top)),
-        slater_coefficients(src))]
+    records = [ShapeRecord(0, top, slater_coefficients(source_shape(n, d)),
+                           Provenance(kind="root"), shape_entropy(n, d, top))]
     tree = BranchingTree(root=0, edges={}, extra_edges=[])
     lowerings = [SymWord(Word((Letter(c, -1),))) for c in range(d)]
     survivor = next(_surviving_coordinates(records[0].slater, lowerings), None)
@@ -394,10 +389,8 @@ def enumerate_shapes(
     def accept(g: int, prim: dict[tuple, int], provenance: Provenance,
                survives: tuple[int, ...] = ()) -> int:
         rid = len(records)
-        records.append(_with_slater(
-            ShapeRecord(rid, g, slater_to_poly(prim, n, d), provenance,
-                        shape_entropy(n, d, g)),
-            prim))
+        records.append(ShapeRecord(rid, g, prim, provenance,
+                                   shape_entropy(n, d, g)))
         tops.append(_maximal_rows(prim))
         unkilled.append(survives)
         return rid
@@ -800,8 +793,8 @@ def express_in_basis(
     Records must be antisymmetric and homogeneous in each coordinate, as
     enumerate_shapes and `shapeforge verify` guarantee.  A record that is
     not, and a psi that is not antisymmetric, raise ValueError;
-    ShapeRecord.slater checks each record once, and psi's antisymmetry is
-    checked by slater_coefficients as its coefficients are read.
+    ShapeRecord.checked_slater checks each record, and psi's antisymmetry
+    is checked by slater_coefficients as its coefficients are read.
     """
     out: list[dict[tuple, Fraction]] = [{} for _ in records]
     if psi.is_zero():
@@ -821,7 +814,7 @@ def express_in_basis(
     for idx, rec in enumerate(records):
         if rec.grade > g:
             continue
-        coeffs = rec.slater
+        coeffs = rec.checked_slater()
         shapes[idx] = (coeffs, _multidegree(next(iter(coeffs))))
 
     # generator monomial * shape, by the same recursion as
@@ -899,10 +892,11 @@ def assemble(
     """Evaluate sum_i Phi_i * Psi_i back in the particle variables."""
     acc: dict[tuple, Fraction] = {}
     for rec, phi in zip(records, phis):
+        poly = rec.poly if any(phi.values()) else None   # expanded once
         for gexp, coeff in phi.items():
             if not coeff:
                 continue
-            prod = _generator_expansion(n, d, gexp) * rec.poly
+            prod = _generator_expansion(n, d, gexp) * poly
             for m, c in prod.terms.items():
                 new = acc.get(m, 0) + coeff * c
                 if new:

@@ -342,8 +342,9 @@ def slater_coefficients(p: MPoly) -> dict[tuple, int]:
     particle rows ascend.  Expanding the result back and comparing it with
     p is the package's one antisymmetry test, a single pass over the terms:
     it raises ValueError unless p is antisymmetric, which also rejects a
-    monomial with two equal rows.  For n <= 1 every polynomial is
-    antisymmetric and nothing is expanded.
+    monomial with two equal rows, and a term count other than n! per set
+    fails first.  For n <= 1 every polynomial is antisymmetric and nothing
+    is expanded.
     """
     n, d = p.n, p.d
     out = {}
@@ -351,7 +352,8 @@ def slater_coefficients(p: MPoly) -> dict[tuple, int]:
         rows = tuple(zip(*(mono[c * n:(c + 1) * n] for c in range(d))))
         if all(a < b for a, b in zip(rows, rows[1:])):
             out[rows] = coeff
-    if n > 1 and slater_to_poly(out, n, d) != p:
+    if n > 1 and p.terms and (len(p.terms) != len(out) * math.factorial(n)
+                              or slater_to_poly(out, n, d) != p):
         raise ValueError("polynomial is not antisymmetric")
     return out
 

@@ -21,7 +21,7 @@ from .engine import (
     RunReport,
     ShapeRecord,
 )
-from .multipoly import MPoly
+from .multipoly import MPoly, slater_coefficients
 from .qseries import Statistics, shape_poly
 from .shiftops import SymWord, word_from_str, word_to_str
 
@@ -102,14 +102,13 @@ def _word(text, d: int, where: str) -> SymWord:
     return SymWord(w)
 
 
-def _poly_to_json(p: MPoly) -> list[dict]:
-    return [
-        {"exp": list(mono), "coef": str(p.terms[mono])}
-        for mono in sorted(p.terms, reverse=True)
-    ]
+def _poly_to_json(rec: ShapeRecord) -> list[dict]:
+    terms = rec.poly.terms
+    return [{"exp": list(mono), "coef": str(terms[mono])}
+            for mono in sorted(terms, reverse=True)]
 
 
-def _poly_from_json(items, n: int, d: int, where: str) -> MPoly:
+def _slater_from_json(items, n: int, d: int, where: str) -> dict | None:
     items = _list(items, where)
     try:
         terms = {tuple(map(operator.index, item["exp"])): int(item["coef"])
@@ -125,7 +124,11 @@ def _poly_from_json(items, n: int, d: int, where: str) -> MPoly:
         raise ArtifactFormatError(f"{where}: negative exponent")
     if not all(terms.values()):
         raise ArtifactFormatError(f"{where}: zero coefficient")
-    return MPoly(n, d, terms)
+    p = MPoly(n, d, terms)
+    try:   # the antisymmetry round trip, once; the monomials are dropped
+        return slater_coefficients(p)
+    except ValueError:   # ShapeRecord.checked_slater reports it
+        return None
 
 
 def _provenance_to_json(pv: Provenance) -> dict:
@@ -163,7 +166,7 @@ def _provenance_from_json(data, n: int, d: int, where: str) -> Provenance:
 
 
 def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
-    """The JSON object of a document; poly renders each shape's polynomial."""
+    """The JSON object of a document; poly renders each shape's record."""
     return {
         "n": doc.n,
         "d": doc.d,
@@ -175,7 +178,7 @@ def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
                 "grade": rec.grade,
                 "entropy": rec.entropy,
                 "provenance": _provenance_to_json(rec.provenance),
-                "poly": poly(rec.poly),
+                "poly": poly(rec),
             }
             for rec in doc.records
         ],
@@ -217,8 +220,8 @@ def document_from_dict(data) -> ShapeDocument:
             ShapeRecord(
                 id=_int(_field(item, "id", where), f"{where}.id"),
                 grade=_int(_field(item, "grade", where), f"{where}.grade"),
-                poly=_poly_from_json(_field(item, "poly", where), n, d,
-                                     f"{where}.poly"),
+                slater=_slater_from_json(_field(item, "poly", where), n, d,
+                                         f"{where}.poly"),
                 provenance=_provenance_from_json(
                     _field(item, "provenance", where), n, d,
                     f"{where}.provenance"),
@@ -281,9 +284,9 @@ def _poly_text(p: MPoly) -> str:
 
 
 def document_pieces(doc: ShapeDocument) -> Iterator[str]:
-    """The text of dumps_document in pieces, one shape's term list at a
-    time, so a writer never holds the whole document."""
-    data = document_to_dict(doc, poly=lambda p: _POLY_SLOT)
+    """The text of dumps_document in pieces: one shape's term list at a
+    time, expanded from its record, so a writer never holds the document."""
+    data = document_to_dict(doc, poly=lambda rec: _POLY_SLOT)
     pieces = json.dumps(data, indent=2).split(f'"{_POLY_SLOT}"')
     yield pieces[0]
     for rec, piece in zip(doc.records, pieces[1:]):
@@ -342,14 +345,14 @@ def report_to_text(result: EnumerationResult) -> str:
         f"tree edges: {result.tree.edge_count()}, "
         f"extra edges: {len(result.tree.extra_edges)}",
         "",
-        "grade  expected  found  tried  zero  survived  in_span  skipped  fallback",
+        "grade  expected  found  tried  zero  survived  in_span  pruned  skipped  fallback",
     ]
     for g in sorted(rep.per_grade, reverse=True):
         s = rep.per_grade[g]
         lines.append(
             f"{g:5d}  {s.expected:8d}  {s.found:5d}  {s.tried:5d}  "
-            f"{s.zero:4d}  {s.survived:8d}  {s.in_span:7d}  {s.skipped:7d}  "
-            f"{s.fallback:8d}"
+            f"{s.zero:4d}  {s.survived:8d}  {s.in_span:7d}  {s.pruned:6d}  "
+            f"{s.skipped:7d}  {s.fallback:8d}"
         )
     lines.append("")
     if rep.fallback_events:

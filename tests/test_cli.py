@@ -11,6 +11,7 @@ import pytest
 
 from shapeforge.cli import main
 from shapeforge.engine import IncompletenessError, enumerate_shapes
+from shapeforge.multipoly import antisymmetrize
 from shapeforge.serialize import document_from_dict
 
 
@@ -108,6 +109,7 @@ def test_gen_report_mentions_vocabulary_and_grades(tmp_path, capsys):
     report = (tmp_path / "report.txt").read_text()
     assert "vocabulary: 136 words" in report
     assert "grade  expected  found" in report
+    assert "in_span  pruned  skipped" in report
 
 
 def test_gen_dot_lists_every_shape(tmp_path, capsys):
@@ -294,6 +296,23 @@ def test_verify_rejects_negated_shape(tmp_path, capsys, artifact_text):
     rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
     assert rc == 5
     assert "record 1: polynomial is not in canonical form" in err
+
+
+def test_verify_rejects_record_spanning_two_multidegrees(tmp_path, capsys,
+                                                        artifacts_33):
+    # antisymmetric and of the stated total grade 2, but with multidegrees
+    # (0, 1, 1) and (1, 0, 1)
+    mixed = (antisymmetrize([(0, 0, 0), (0, 0, 1), (0, 1, 0)])
+             + antisymmetrize([(0, 0, 0), (0, 0, 1), (1, 0, 0)]))
+
+    def mutate(doc):
+        shape = next(s for s in doc["shapes"] if s["grade"] == 2)
+        shape["poly"] = [{"exp": list(mono), "coef": str(c)}
+                         for mono, c in mixed.terms.items()]
+    rc, _, err = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33["extra"], mutate))
+    assert rc == 5
+    assert "not homogeneous in each coordinate" in err
 
 
 def test_verify_rejects_relabeled_grade(tmp_path, capsys, artifact_text):

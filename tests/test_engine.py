@@ -512,8 +512,8 @@ def test_verify_completeness_detects_symmetric_multiple():
     records = list(enumerate_shapes(3, 3).records)
     low = next(rec for rec in records if rec.grade == 2)
     i = next(i for i, rec in enumerate(records) if rec.grade == 3)
-    records[i] = dataclasses.replace(
-        records[i], poly=elementary_symmetric(0, 1, 3, 3) * low.poly)
+    records[i] = dataclasses.replace(records[i], slater=slater_coefficients(
+        elementary_symmetric(0, 1, 3, 3) * low.poly))
     assert module_span_matrix(3, records, 3, 3).rank() < \
         state_count_series(3, 3, 3).coeff(3)
     with pytest.raises(IncompletenessError, match="grade 3"):
@@ -661,16 +661,19 @@ def test_express_rejects_malformed_records():
     records = list(enumerate_shapes(2, 3).records)
     psi = source_shape(2, 3)
     i = next(i for i, rec in enumerate(records) if rec.grade == 1)
-    # one monomial: too few terms for the occupation sets it has
+    # one monomial, too few terms for the occupation sets it has: the
+    # loader keeps no coefficients for a polynomial that is not antisymmetric
     lone = MPoly(2, 3, {(0, 1, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        slater_coefficients(lone)
     bad = list(records)
-    bad[i] = dataclasses.replace(records[i], poly=lone)
+    bad[i] = dataclasses.replace(records[i], slater=None)
     with pytest.raises(ValueError, match="not antisymmetric"):
         express_in_basis(psi, bad, 2, 3)
     # antisymmetric and of total degree 1, but in two multidegrees
     mixed = (antisymmetrize([(0, 0, 0), (1, 0, 0)])
              + antisymmetrize([(0, 0, 0), (0, 1, 0)]))
-    bad[i] = dataclasses.replace(records[i], poly=mixed)
+    bad[i] = dataclasses.replace(records[i], slater=slater_coefficients(mixed))
     with pytest.raises(ValueError, match="homogeneous in each coordinate"):
         express_in_basis(psi, bad, 2, 3)
 

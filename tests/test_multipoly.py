@@ -179,6 +179,18 @@ def test_slater_coefficients_rejects_non_antisymmetric():
             slater_coefficients(p)
 
 
+def test_slater_coefficients_counts_terms_before_expanding(monkeypatch):
+    # one term where Alt needs 12! of them: rejected without building the
+    # 12!-entry alternation table
+    def refuse(*args):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr("shapeforge.multipoly.slater_to_poly", refuse)
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        slater_coefficients(MPoly(12, 1, {tuple(range(12)): 1}))
+    assert slater_coefficients(MPoly.zero(12, 1)) == {}
+
+
 # --- Vandermonde and the source shape ------------------------------------
 
 def test_vandermonde_against_determinant_oracle():

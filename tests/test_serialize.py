@@ -28,3 +28,13 @@ def test_dumps_document_matches_json_dumps(n, d, config):
     text = dumps_document(doc)
     assert text == json.dumps(document_to_dict(doc), indent=2) + "\n"
     assert dumps_document(loads_document(text)) == text
+
+
+@pytest.mark.parametrize("config", [EngineConfig(), EngineConfig(max_letters=1)],
+                         ids=["default", "oracle"])
+def test_records_hold_only_slater_coefficients(config):
+    result = enumerate_shapes(3, 3, config)
+    # the descent keeps no expanded polynomial on any record
+    assert not any("poly" in vars(rec) for rec in result.records)
+    doc = document_from_result(result)
+    assert loads_document(dumps_document(doc)).records == doc.records
