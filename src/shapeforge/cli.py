@@ -27,7 +27,7 @@ from .engine import (
     verify_completeness,
 )
 from .multipoly import (
-    antisymmetrize,
+    _sort_with_sign,
     slater_basis,
     slater_coefficients,
     slater_normalized,
@@ -244,8 +244,9 @@ def _check_records(doc: ShapeDocument) -> str | None:
         elif pv.kind == "oracle":
             if pv.rows is None:
                 return f"{tag}: oracle provenance missing rows"
-            # the listed row order carries the sign
-            raw = slater_coefficients(antisymmetrize(list(pv.rows)))
+            rows = list(pv.rows)    # distinct, as the loader checked
+            sign = _sort_with_sign(rows)   # the listed order carries it
+            raw = {tuple(rows): sign}
         else:
             return f"{tag}: unknown provenance kind {pv.kind!r}"
         if not raw:

@@ -36,25 +36,28 @@ warning), and its children are also tested on those coordinates.
 
 If the vocabulary fails to fill a grade, the enumerator falls back to
 single Slater determinants, which span the full antisymmetric space at
-that grade; it takes one only when its normal form (see below) is new,
-so the result stays a module basis.  That one span of normal forms is
-the fallback's whole test, and content and sign again come from the set
-coefficients.  Fallback activations are first-class report data.
+that grade; it takes one only when its class in the sign coinvariants
+(see below) is new, so the result stays a module basis.  That one span
+is the fallback's whole test, and content and sign again come from the
+set coefficients.  Fallback activations are first-class report data.
 
 verify_completeness certifies the final generator set without forming
 a single module product.  The antisymmetric polynomials A are a free
 module over the ring R of polynomials symmetric in each coordinate
 separately (Chevalley's theorem: k[X] is free over R, and A is an
 R-linear direct summand of it).  By graded Nakayama, homogeneous
-antisymmetric polynomials form an R-basis of A iff their images in
-A / R+ A, which sits inside the coinvariant algebra k[X] / R+ k[X], are
-a basis there.  That quotient has dimension shape_poly(n, d).coeff(g) at
-grade g, so the certificate reduces every shape to its normal form
-modulo R+ k[X] and checks that, grade by grade, there are exactly that
-many shapes and their normal forms are linearly independent (see
-Sturmfels, Algorithms in Invariant Theory, ch. 1).  The tests keep the
-direct rank of the module span as the reference they compare the
-certificate against.
+antisymmetric polynomials form an R-basis of A iff their images form a
+basis of A / R+ A, of dimension shape_poly(n, d).coeff(g) at grade g
+(Sturmfels, Algorithms in Invariant Theory, ch. 1).  In characteristic
+0 that is the sign part of Q = k[X] / R+ k[X], and it maps isomorphically
+onto the sign coinvariants Q / span{tau q + q}.  There sum(a_S * Alt(S))
+has the class n! * sum(a_S * pi(NF(x^S))), where pi sorts a standard
+monomial's rows with the sign of the sort: one monomial's normal form
+per occupation set, modulo the relations pi(NF(tau m)) + pi(m) over
+standard m and adjacent transpositions tau.  The certificate checks
+that, grade by grade, there are exactly that many shapes and their
+classes are independent.  The tests keep the module span's direct rank
+and the monomial normal forms as the references for the certificate.
 
 express_in_basis computes the decomposition itself by exact elimination
 in the same occupation-set coordinates, reading each shape's set
@@ -69,13 +72,12 @@ The solve is exactla's one reduction kernel on an augmented matrix:
 each product row carries a unit column of its own past the occupation
 sets, so the target's residual names the products that build it.  The
 shapes must be a basis, so the products are independent and every row
-pivots on an occupation set.  assemble, the way back, multiplies out in
-the particle variables.
+pivots on an occupation set.  assemble, the way back, builds the same
+products through the same helper and expands their sum once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import logging
 import math
@@ -89,7 +91,7 @@ from .exactla import SparseIntMatrix
 from .multipoly import (
     MPoly,
     OddDimensionRequiredError,
-    elementary_symmetric,
+    _sort_with_sign,
     slater_basis,
     slater_coefficients,
     slater_normalized,
@@ -468,19 +470,16 @@ def enumerate_shapes(
         stats.skipped = len(candidates) - consumed
 
         if stats.found < expected:
-            # an occupation set can extend the span at this grade and still
-            # add nothing modulo the symmetric generators, which would leave
-            # a set that is no module basis; so a set is taken only when its
-            # normal form is new against those of the shapes found here.
-            # Normal forms are linear, so the set then extends the span of
-            # the shapes themselves as well
-            normal_forms = _NormalFormSpan(_CoinvariantReducer(n, d))
+            # a set can extend the span here and add nothing modulo the
+            # symmetric generators, so one is taken only when its class is
+            # new, which also makes it new against the shapes themselves
+            classes = _NormalFormSpan(_CoinvariantReducer(n))
             for rec in records:
                 if rec.grade == g:
-                    normal_forms.extend(rec.poly)
+                    classes.extend(rec.slater)
             filled = 0
             for rows in slater_basis(n, d, g):
-                if normal_forms.extend(slater_to_poly({rows: 1}, n, d)):
+                if classes.extend({rows: 1}):
                     prim, cont, sign = slater_normalized({rows: 1})
                     survives = tuple(_surviving_coordinates(prim, lowerings))
                     rid = accept(g, prim,
@@ -576,17 +575,24 @@ def _lift(coeffs: dict[tuple, int], c: int, j: int,
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _generator_expansion(n: int, d: int, gexp: tuple) -> MPoly:
-    """Expand a generator monomial into the particle variables."""
-    for i, e in enumerate(gexp):
-        if e:
-            reduced = gexp[:i] + (e - 1,) + gexp[i + 1:]
+def _product(coeffs: dict[tuple, int], gexp: tuple, n: int,
+             products: dict, lifts: dict) -> dict[tuple, int]:
+    """The generator monomial gexp times sum(coeff * Alt(rows)) in Slater
+    coordinates, one elementary symmetric generator at a time (_lift).
+    products holds this shape's products by monomial and lifts each
+    generator's set images; both fill as they are met, for one call."""
+    got = products.get(gexp)
+    if got is None:
+        i = next((i for i, e in enumerate(gexp) if e), None)
+        if i is None:
+            got = coeffs
+        else:
+            reduced = gexp[:i] + (gexp[i] - 1,) + gexp[i + 1:]
             c, j = divmod(i, n)
-            return _generator_expansion(n, d, reduced) * elementary_symmetric(
-                c, j + 1, n, d
-            )
-    return MPoly.const(n, d, 1)
+            got = _lift(_product(coeffs, reduced, n, products, lifts), c,
+                        j + 1, lifts.setdefault(i, {}))
+        products[gexp] = got
+    return got
 
 
 class _CoinvariantReducer:
@@ -603,9 +609,8 @@ class _CoinvariantReducer:
     normal form has integer coefficients.
     """
 
-    def __init__(self, n: int, d: int):
+    def __init__(self, n: int):
         self.n = n
-        self.d = d
         # for each k, the monomials of h_{k+1}(x_k..x_{n-1}) other than the
         # leading x_k^(k+1), as exponent blocks: x_k^(k+1) == -sum(tail[k])
         self._tails = []
@@ -648,44 +653,72 @@ class _CoinvariantReducer:
         self._blocks[a] = got
         return got
 
-    def normal_form(self, p: MPoly) -> MPoly:
-        """Reduce one coordinate at a time, merging terms after each, so
-        terms that meet on a standard block combine before the next one."""
-        n = self.n
-        terms = p.terms
-        for c in range(self.d):
-            lo, hi = c * n, (c + 1) * n
-            out: dict[tuple, int] = {}
-            for mono, coeff in terms.items():
-                head, tail = mono[:lo], mono[hi:]
-                for std, k in self.block(mono[lo:hi]):
-                    key = head + std + tail
-                    v = out.get(key, 0) + coeff * k
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
-            terms = out
-        return MPoly(p.n, p.d, terms)
+    def project(self, out: dict, blocks: Iterable[tuple], coeff: int):
+        """Add coeff * pi(NF(x^blocks)) to out, for the monomial with these
+        exponent blocks, one per coordinate.  pi takes a standard monomial
+        to its particles' rows, sorted, times the sign of the sort (0 when
+        two rows are equal).  Entries that cancel stay, as zeros."""
+        for combo in itertools.product(*map(self.block, blocks)):
+            stds, ks = zip(*combo)
+            rows = list(zip(*stds))
+            k = _sort_with_sign(rows) * coeff * math.prod(ks)
+            if k:
+                out[tuple(rows)] = out.get(tuple(rows), 0) + k
+
+    def relations(self, degree: tuple) -> Iterable[dict[tuple, int]]:
+        """pi(NF(tau m)) + pi(m) over the standard monomials m of this
+        multidegree and adjacent transpositions tau = (i, i+1), skipping
+        the zero ones: those where tau m is standard, as it is unless some
+        coordinate of m has exponent i + 1 at particle i + 1."""
+        per_coordinate = [
+            [b for b in itertools.product(*map(range, range(1, self.n + 1)))
+             if sum(b) == k] for k in degree]
+        for m in itertools.product(*per_coordinate):
+            for i in range(self.n - 1):
+                if any(b[i + 1] > i for b in m):
+                    rel: dict[tuple, int] = {}
+                    self.project(rel, m, 1)
+                    self.project(rel, [b[:i] + (b[i + 1], b[i]) + b[i + 2:]
+                                       for b in m], 1)
+                    yield rel
 
 
 class _NormalFormSpan:
-    """The span of the normal forms added so far, at one grade."""
+    """The span of the classes added so far in the sign coinvariants, at
+    one grade, with one column per occupation set: sum(a_S * Alt(S)) has
+    the class n! * sum(a_S * pi(NF(x^S))), row a of S on particle a (see
+    the module docstring).  A multidegree's relations enter before the
+    first class that reaches it; rank() counts the classes beyond them."""
 
     def __init__(self, reducer: _CoinvariantReducer):
         self.reducer = reducer
         self.cols: dict[tuple, int] = {}
+        self.degrees: set[tuple] = set()
         self.matrix = SparseIntMatrix()
+        self.relation_rank = 0
 
-    def extend(self, p: MPoly) -> bool:
-        """Add p's normal form; True iff it extends the span.  Its new
-        monomials get columns in descending order, so the columns do not
-        depend on how the polynomial was built."""
-        nf = self.reducer.normal_form(p).terms
-        cols = self.cols
-        for mono in sorted(nf, reverse=True):
-            cols.setdefault(mono, len(cols))
-        return self.matrix.try_extend({cols[m]: c for m, c in nf.items()})
+    def _vector(self, cls: dict[tuple, int]) -> dict[int, int]:
+        vec = {}
+        for rows, c in cls.items():
+            degree = _multidegree(rows) if rows not in self.cols else None
+            if degree is not None and degree not in self.degrees:
+                self.degrees.add(degree)
+                for rel in self.reducer.relations(degree):
+                    self.relation_rank += self.matrix.try_extend(
+                        self._vector(rel))
+            vec[self.cols.setdefault(rows, len(self.cols))] = c
+        return vec
+
+    def extend(self, coeffs: dict[tuple, int]) -> bool:
+        """Add the class of sum(a_S * Alt(S)) for these Slater coefficients
+        a_S; True iff it extends the span."""
+        cls: dict[tuple, int] = {}
+        for rows, a in coeffs.items():
+            self.reducer.project(cls, zip(*rows), a)
+        return self.matrix.try_extend(self._vector(cls))
+
+    def rank(self) -> int:
+        return self.matrix.rank() - self.relation_rank
 
 
 def verify_completeness(
@@ -708,7 +741,7 @@ def verify_completeness(
     by_grade: dict[int, list[ShapeRecord]] = {}
     for rec in records:
         by_grade.setdefault(rec.grade, []).append(rec)
-    reducer = _CoinvariantReducer(n, d)
+    reducer = _CoinvariantReducer(n)
     results = []
     for g in range(top + 1):
         expected = poly.coeff(g)
@@ -718,10 +751,10 @@ def verify_completeness(
                 f"grade {g}: {len(here)} shapes, the shape polynomial "
                 f"expects {expected}"
             )
-        normal_forms = _NormalFormSpan(reducer)
+        classes = _NormalFormSpan(reducer)
         for rec in here:
-            normal_forms.extend(rec.poly)
-        rank = normal_forms.matrix.rank()
+            classes.extend(rec.slater)
+        rank = classes.rank()
         results.append((g, expected, rank))
         if rank != expected:
             raise IncompletenessError(
@@ -817,35 +850,16 @@ def express_in_basis(
         coeffs = rec.checked_slater()
         shapes[idx] = (coeffs, _multidegree(next(iter(coeffs))))
 
-    # generator monomial * shape, by the same recursion as
-    # _generator_expansion; intermediate products are shared between
-    # generator monomials, so they are kept for the rest of the call, and
-    # so is each set's image under each generator (see _lift)
-    products: dict[tuple[int, tuple], dict[tuple, int]] = {}
-    lifts: dict[int, dict[tuple, tuple]] = {}
-
-    def product(idx: int, gexp: tuple) -> dict[tuple, int]:
-        got = products.get((idx, gexp))
-        if got is None:
-            i = next((i for i, e in enumerate(gexp) if e), None)
-            if i is None:
-                got = shapes[idx][0]
-            else:
-                reduced = gexp[:i] + (gexp[i] - 1,) + gexp[i + 1:]
-                c, j = divmod(i, n)
-                got = _lift(product(idx, reduced), c, j + 1,
-                            lifts.setdefault(i, {}))
-            products[(idx, gexp)] = got
-        return got
-
     # only the generator monomials that take a shape into one of psi's blocks
     per_rise = [generator_monomials(n, 1, k) for k in range(g + 1)]
     recipes = []
     support: set[tuple] = set(target_sets)
-    for idx, (_, degree) in shapes.items():
+    lifts: dict[int, dict[tuple, tuple]] = {}
+    for idx, (coeffs, degree) in shapes.items():
+        products: dict[tuple, dict] = {}
         for block in blocks:
             for gexp in _rising_monomials(per_rise, degree, block):
-                prod = product(idx, gexp)
+                prod = _product(coeffs, gexp, n, products, lifts)
                 support.update(prod)
                 recipes.append((idx, gexp, prod))
     # columns in descending order of the reversed sets compared as tuples
@@ -889,21 +903,22 @@ def assemble(
     n: int,
     d: int,
 ) -> MPoly:
-    """Evaluate sum_i Phi_i * Psi_i back in the particle variables."""
+    """Evaluate sum_i Phi_i * Psi_i back in the particle variables: the
+    products of express_in_basis, summed on Slater coefficients."""
     acc: dict[tuple, Fraction] = {}
+    lifts: dict[int, dict[tuple, tuple]] = {}
     for rec, phi in zip(records, phis):
-        poly = rec.poly if any(phi.values()) else None   # expanded once
-        for gexp, coeff in phi.items():
-            if not coeff:
-                continue
-            prod = _generator_expansion(n, d, gexp) * poly
-            for m, c in prod.terms.items():
-                new = acc.get(m, 0) + coeff * c
+        terms = [(gexp, coeff) for gexp, coeff in phi.items() if coeff]
+        coeffs = rec.checked_slater() if terms else {}
+        products: dict[tuple, dict] = {}
+        for gexp, coeff in terms:
+            for rows, c in _product(coeffs, gexp, n, products, lifts).items():
+                new = acc.get(rows, 0) + coeff * c
                 if new:
-                    acc[m] = new
+                    acc[rows] = new
                 else:
-                    acc.pop(m, None)
-    for m, c in acc.items():
+                    del acc[rows]
+    for rows, c in acc.items():
         if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} at {m}")
-    return MPoly(n, d, {m: int(c) for m, c in acc.items()})
+            raise ValueError(f"non-integer coefficient {c} at {rows}")
+    return slater_to_poly({rows: int(c) for rows, c in acc.items()}, n, d)

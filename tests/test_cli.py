@@ -501,6 +501,19 @@ def test_verify_rejects_replay_edits(tmp_path, capsys, artifacts_33, key,
     assert "replay" in err
 
 
+def test_verify_replays_oracle_rows_in_any_order(tmp_path, capsys,
+                                                 artifacts_33):
+    # swapping two listed rows flips the determinant's sign, so with the
+    # provenance sign flipped too the record still replays
+    def mutate(doc):
+        _swap_oracle_rows(doc)
+        _flip_provenance_sign("oracle")(doc)
+    rc, out, _ = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33["oracle"], mutate))
+    assert rc == 0
+    assert "verified 36 shapes for n=3 d=3" in out
+
+
 # --- count ------------------------------------------------------------------
 
 def test_count_golden_table(capsys):

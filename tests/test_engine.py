@@ -14,9 +14,11 @@ from shapeforge.engine import (
     EngineConfig,
     IncompletenessError,
     _CoinvariantReducer,
+    _NormalFormSpan,
     _coordinate_atoms,
     _lift,
     _maximal_rows,
+    _multidegree,
     _raised_coordinates,
     _reaches,
     _rising_monomials,
@@ -56,7 +58,12 @@ from shapeforge.shiftops import (
     word_to_str,
 )
 
-from span_reference import module_span_matrix
+from span_reference import (
+    _generator_expansion,
+    module_span_matrix,
+    normal_form,
+    normal_form_rank,
+)
 
 
 # --- vocabulary ------------------------------------------------------------
@@ -473,7 +480,7 @@ def test_module_span_matrix_two_particles_full_rank():
 
 def test_coinvariant_normal_forms():
     for n in range(1, 5):
-        reducer = _CoinvariantReducer(n, 1)
+        reducer = _CoinvariantReducer(n)
         # the standard monomials x_k^(<=k) fill the q-factorial [n]_q!
         blocks = [b for b in itertools.product(range(n), repeat=n)
                   if all(e <= k for k, e in enumerate(b))]
@@ -485,7 +492,7 @@ def test_coinvariant_normal_forms():
             x = MPoly(n, 1, {b: 1})
             for j in range(1, n + 1):
                 e = elementary_symmetric(0, j, n, 1)
-                assert reducer.normal_form(x * e).is_zero()
+                assert normal_form(reducer, x * e).is_zero()
 
 
 def test_verify_completeness_two_particles():
@@ -518,6 +525,58 @@ def test_verify_completeness_detects_symmetric_multiple():
         state_count_series(3, 3, 3).coeff(3)
     with pytest.raises(IncompletenessError, match="grade 3"):
         verify_completeness(3, 3, records)
+    # every (slot, lower shape) pair where e1 in one coordinate takes the
+    # lower shape into the slot's multidegree: the product alone fails at
+    # the slot's grade, and the slot's shape plus 3 times it passes
+    records = enumerate_shapes(3, 3).records
+    controls = 0
+    for slot in records:
+        for low in records:
+            rise = [a - b for a, b in zip(
+                _multidegree(next(iter(slot.slater))),
+                _multidegree(next(iter(low.slater))))]
+            if sorted(rise) != [0, 0, 1]:
+                continue
+            controls += 1
+            prod = slater_times_elementary(low.slater, rise.index(1), 1)
+            edited = list(records)
+            edited[slot.id] = dataclasses.replace(slot, slater=prod)
+            with pytest.raises(IncompletenessError,
+                               match=f"grade {slot.grade}:"):
+                verify_completeness(3, 3, edited)
+            summed = dict(slot.slater)
+            for rows, c in prod.items():
+                summed[rows] = summed.get(rows, 0) + 3 * c
+            edited[slot.id] = dataclasses.replace(slot, slater={
+                rows: c for rows, c in summed.items() if c})
+            verify_completeness(3, 3, edited)
+    assert controls == 60
+
+
+@pytest.mark.parametrize("n, d, config", [
+    (2, 3, EngineConfig()), (3, 3, EngineConfig()), (2, 5, EngineConfig()),
+    (3, 3, EngineConfig(max_letters=1)),
+], ids=["2-3", "3-3", "2-5", "3-3-one-letter"])
+def test_certificate_rank_is_the_monomial_normal_form_rank(n, d, config):
+    # the sign-coinvariant classes and the monomial normal forms modulo the
+    # coinvariant ideal have the same rank at every grade
+    records = enumerate_shapes(n, d, config).records
+    for g, expected, rank in verify_completeness(n, d, records):
+        here = [rec for rec in records if rec.grade == g]
+        assert rank == expected == normal_form_rank(here, n, d), g
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 3), (2, 5), (2, 7)])
+def test_sign_coinvariant_dimension_is_the_shape_polynomial(n, d):
+    # every occupation set of a grade spans the sign coinvariants there,
+    # whose dimension is the shape-polynomial coefficient: a second route
+    # to the shape polynomial, independent of qseries
+    poly = shape_poly(n, d, Statistics.FERMION)
+    for g in range(degree_D(d, n) + 2):
+        span = _NormalFormSpan(_CoinvariantReducer(n))
+        for rows in slater_basis(n, d, g):
+            span.extend({rows: 1})
+        assert span.rank() == poly.coeff(g), g
 
 
 def test_verify_sign_conflict_is_minus_one():
@@ -608,6 +667,31 @@ def test_express_round_trip_top_grade():
     phis = express_in_basis(psi, records, 3, 3)
     assert phis == built
     assert assemble(records, phis, 3, 3) == psi
+
+
+def test_assemble_matches_the_monomial_products():
+    # assemble shares its products with express_in_basis, so it is checked
+    # here against generator monomials multiplied out in MPoly
+    rng = random.Random(77)
+    for n, d in ((2, 3), (3, 3)):
+        records = enumerate_shapes(n, d).records
+        for _ in range(6):
+            phis = [dict() for _ in records]
+            want = MPoly.zero(n, d)
+            for i in rng.sample(range(len(records)), min(4, len(records))):
+                monos = generator_monomials(n, d, rng.randrange(3))
+                for gexp in rng.sample(monos, min(2, len(monos))):
+                    c = rng.choice((-3, -2, -1, 1, 2, 3))
+                    phis[i][gexp] = Fraction(c)
+                    want = want + (_generator_expansion(n, d, gexp)
+                                   * records[i].poly).scale(c)
+            assert assemble(records, phis, n, d) == want
+    # halves that do not cancel are refused
+    records = enumerate_shapes(2, 3).records
+    phis = [dict() for _ in records]
+    phis[1][(1,) + (0,) * 5] = Fraction(1, 2)
+    with pytest.raises(ValueError, match="non-integer coefficient 1/2"):
+        assemble(records, phis, 2, 3)
 
 
 def _weights(n, d, gexp):
