@@ -29,9 +29,8 @@ from .engine import (
 from .multipoly import (
     _sort_with_sign,
     slater_basis,
-    slater_coefficients,
     slater_normalized,
-    source_shape,
+    source_slater,
 )
 from .qseries import Statistics, shape_poly, state_count_series
 from .serialize import (
@@ -232,7 +231,7 @@ def _check_records(doc: ShapeDocument) -> str | None:
             if rec.id != doc.tree.root:
                 return f"{tag}: root provenance on a non-root id"
             if (pv.content != 1 or pv.sign != 1
-                    or coeffs != slater_coefficients(source_shape(n, d))):
+                    or coeffs != source_slater(n, d)):
                 return f"{tag}: root does not replay to the source shape"
             continue
         if pv.kind == "word":

@@ -68,12 +68,13 @@ ch. 2).  R and every shape are homogeneous in each coordinate
 separately, so the linear system splits into independent blocks, one
 per multidegree; only the products in the target's blocks are built,
 and each set's image under a generator is worked out once per call.
-The solve is exactla's one reduction kernel on an augmented matrix:
-each product row carries a unit column of its own past the occupation
-sets, so the target's residual names the products that build it.  The
-shapes must be a basis, so the products are independent and every row
-pivots on an occupation set.  assemble, the way back, builds the same
-products through the same helper and expands their sum once.
+Each block is solved on its own, transposed: one equation per
+occupation set, the block's products as unknowns and the target's
+coefficients as the right-hand side, eliminated by exactla's one kernel
+and back-substituted over one common denominator.  The shapes must be a
+basis, so the products are independent and the solution is unique.
+assemble, the way back, builds the same products through the same
+helper and expands their sum once.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from .multipoly import (
     slater_normalized,
     slater_times_elementary,
     slater_to_poly,
-    source_shape,
+    source_slater,
 )
 from .qseries import (
     Statistics,
@@ -373,7 +374,7 @@ def enumerate_shapes(
     report = RunReport(n=n, d=d, vocabulary_size=len(vocab),
                        per_grade=per_grade)
 
-    records = [ShapeRecord(0, top, slater_coefficients(source_shape(n, d)),
+    records = [ShapeRecord(0, top, source_slater(n, d),
                            Provenance(kind="root"), shape_entropy(n, d, top))]
     tree = BranchingTree(root=0, edges={}, extra_edges=[])
     lowerings = [SymWord(Word((Letter(c, -1),))) for c in range(d)]
@@ -775,7 +776,7 @@ def verify_sign_conflict(n: int = 3, d: int = 3) -> int:
         raise ValueError("the route words use three coordinates; d must be odd and >= 3")
     if n < 2:
         raise ValueError("n must be at least 2")
-    s = slater_coefficients(source_shape(n, d))
+    s = source_slater(n, d)
     target = sum(map(sum, next(iter(s)))) - 5
     route_a = apply_symword_slater(
         SymWord(Word((Letter(2, -1), Letter(0, -2)))),
@@ -815,13 +816,16 @@ def express_in_basis(
     The products are homogeneous in each coordinate separately, so the
     system splits into one block per multidegree; only the products in
     psi's blocks are built, and each occupation set's image under a
-    generator is worked out once per call.  They are reduced in one
-    SparseIntMatrix, each with an extra unit column past the occupation
-    sets, and psi's residual reads the coefficients off those columns.
+    generator is worked out once per call.  Each block is one
+    SparseIntMatrix: a row per occupation set, a column per product (the
+    unknowns, sparsest product first) and psi's coefficient on that set
+    in the column past them.  Forward elimination takes the sparsest
+    equations first, and SparseIntMatrix.solve back-substitutes.
 
     Records must be a basis (verify_completeness certifies it): then the
     products are independent and the coefficients unique.  psi outside
-    their span raises IncompletenessError.
+    their span leaves an equation 0 == b with b != 0 and raises
+    IncompletenessError.
 
     Records must be antisymmetric and homogeneous in each coordinate, as
     enumerate_shapes and `shapeforge verify` guarantee.  A record that is
@@ -842,58 +846,44 @@ def express_in_basis(
     if g > degree_D(d, n):
         raise ValueError(f"grade {g} beyond the verified range")
 
-    blocks = {_multidegree(rows) for rows in target_sets}
-    shapes: dict[int, tuple[dict[tuple, int], tuple]] = {}
+    targets: dict[tuple, dict[tuple, int]] = {}
+    for rows, c in target_sets.items():
+        targets.setdefault(_multidegree(rows), {})[rows] = c
+    # only the generator monomials that take a shape into one of psi's blocks
+    per_rise = [generator_monomials(n, 1, k) for k in range(g + 1)]
+    recipes: dict[tuple, list] = {block: [] for block in targets}
+    lifts: dict[int, dict[tuple, tuple]] = {}
     for idx, rec in enumerate(records):
         if rec.grade > g:
             continue
         coeffs = rec.checked_slater()
-        shapes[idx] = (coeffs, _multidegree(next(iter(coeffs))))
-
-    # only the generator monomials that take a shape into one of psi's blocks
-    per_rise = [generator_monomials(n, 1, k) for k in range(g + 1)]
-    recipes = []
-    support: set[tuple] = set(target_sets)
-    lifts: dict[int, dict[tuple, tuple]] = {}
-    for idx, (coeffs, degree) in shapes.items():
+        degree = _multidegree(next(iter(coeffs)))
         products: dict[tuple, dict] = {}
-        for block in blocks:
+        for block, here in recipes.items():
             for gexp in _rising_monomials(per_rise, degree, block):
-                prod = _product(coeffs, gexp, n, products, lifts)
-                support.update(prod)
-                recipes.append((idx, gexp, prod))
-    # columns in descending order of the reversed sets compared as tuples
-    # of rows: a row-major order, not that of the sets' leading monomials
-    # (multipoly._leading_key).  The solution is unique, so the order only
-    # steers the elimination
-    column = {
-        rows: col for col, rows in enumerate(
-            sorted(support, key=lambda rows: rows[::-1], reverse=True))
-    }
-    recipes = sorted(
-        ((min(column[rows] for rows in prod), idx, gexp, prod)
-         for idx, gexp, prod in recipes),
-        key=lambda r: r[:3],
-    )
+                here.append(
+                    (idx, gexp, _product(coeffs, gexp, n, products, lifts)))
 
-    # one row per recipe, with a unit column of its own past the
-    # occupation sets; psi's residual then holds -x_r in recipe r's unit
-    # column and s in psi's, where s * psi == sum_r x_r * recipe_r
-    ncols = len(column)
-    matrix = SparseIntMatrix()
-    for r, (_, _, _, prod) in enumerate(recipes):
-        vec = {column[rows]: c for rows, c in prod.items()}
-        vec[ncols + r] = 1
-        matrix.try_extend(vec)
-    target = {column[rows]: c for rows, c in target_sets.items()}
-    target[ncols + len(recipes)] = 1
-    residual = matrix.reduce(target)
-    if min(residual) < ncols:
-        raise IncompletenessError("psi is outside the module span")
-    scale = residual.pop(ncols + len(recipes))
-    for col, x in residual.items():
-        _, idx, gexp, _ = recipes[col - ncols]
-        out[idx][gexp] = Fraction(-x, scale)
+    for block, target in targets.items():
+        # one equation per occupation set, one unknown per product and the
+        # right-hand side in the column past them; sparsest products and
+        # sparsest equations first keep the echelon small
+        here = sorted(recipes[block], key=lambda r: len(r[2]))
+        rhs = len(here)
+        equations = {rows: {rhs: c} for rows, c in target.items()}
+        for col, (_, _, prod) in enumerate(here):
+            for rows, c in prod.items():
+                equations.setdefault(rows, {})[col] = c
+        matrix = SparseIntMatrix()
+        for eq in sorted(equations.values(), key=len):
+            matrix.try_extend(eq)
+        try:
+            num, den = matrix.solve(rhs)
+        except ValueError:
+            raise IncompletenessError("psi is outside the module span") from None
+        for col, x in num.items():
+            idx, gexp, _ = here[col]
+            out[idx][gexp] = Fraction(x, den)
     return out
 
 

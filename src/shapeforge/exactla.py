@@ -12,9 +12,11 @@ A pivot row only occupies columns at or after its pivot, so it stops at
 the first column without a pivot: no pivot row can clear that column,
 and the candidate is known to lie outside the span.  reduce returns that
 residual, an integer combination s * vec - sum(c_i * row_i) with s != 0.
-Giving every row a unit column of its own past the real ones therefore
-turns reduce into an exact solver: the residual's unit columns record
-the combination of rows it took (engine.express_in_basis works so).
+
+The echelon also solves a linear system: add one row per equation,
+unknowns as columns and the right-hand side in the column past them,
+then back-substitute (solve).  engine.express_in_basis works so, one
+multidegree block at a time.
 """
 
 from __future__ import annotations
@@ -74,6 +76,36 @@ class SparseIntMatrix:
     def contains(self, vec: dict[int, int]) -> bool:
         """Span membership without modifying the matrix."""
         return not self.reduce(vec)
+
+    def solve(self, rhs: int) -> tuple[dict[int, int], int]:
+        """Back-substitute the echelon's rows as the equations
+        sum(row[c] * x_c for c < rhs) == row[rhs].
+
+        Returns (num, den) with x_c == num[c] / den and den > 0, listing
+        only the nonzero x_c; a column without a pivot gets x_c = 0.  Pivots
+        are solved from the last column back, over one common denominator
+        that grows only by what a pivot coefficient fails to divide.
+        Raises ValueError if a row pivots at rhs, 0 == row[rhs] != 0: the
+        equations are inconsistent."""
+        if rhs in self._pivots:
+            raise ValueError("inconsistent system")
+        num: dict[int, int] = {}
+        den = 1
+        for p in sorted(self._pivots, reverse=True):
+            row = self._pivots[p]
+            t = row.get(rhs, 0) * den - sum(a * num[c] for c, a in row.items()
+                                            if c in num)
+            if not t:
+                continue
+            # row[p] * x_p == t / den, and row[p] > 0
+            g = math.gcd(t, row[p])
+            m = row[p] // g
+            if m != 1:
+                den *= m
+                for c in num:
+                    num[c] *= m
+            num[p] = t // g
+        return num, den
 
 
 def _divide_by_content(v: dict[int, int]):

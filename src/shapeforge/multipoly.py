@@ -282,6 +282,27 @@ def source_shape(n: int, d: int) -> MPoly:
     return p
 
 
+def source_slater(n: int, d: int) -> dict[tuple, int]:
+    """slater_coefficients(source_shape(n, d)), built without expanding it.
+
+    The Vandermonde factor of one coordinate is sum over permutations
+    sigma of sgn(sigma) * sgn(rho) * prod_i x_i^sigma(i), rho the reversal
+    (its leading monomial x_0^(n-1) x_1^(n-2) ...).  A set's rows ascend
+    when coordinate 0 gives particle i the exponent i, and each other
+    coordinate c is a free permutation sigma_c, so the set has the
+    coefficient sgn(rho)^d * prod_c sgn(sigma_c), and d is odd."""
+    if d % 2 == 0:
+        raise OddDimensionRequiredError(f"source shape needs odd d, got {d}")
+    reversal = -1 if n * (n - 1) // 2 % 2 else 1
+    signed = [(sigma, _perm_sign(sigma))
+              for sigma in itertools.permutations(range(n))]
+    out = {}
+    for combo in itertools.product(signed, repeat=d - 1):
+        rows = tuple(zip(range(n), *(sigma for sigma, _ in combo)))
+        out[rows] = reversal * math.prod(sign for _, sign in combo)
+    return out
+
+
 def elementary_symmetric(c: int, j: int, n: int, d: int) -> MPoly:
     """Elementary symmetric polynomial e_j in the coordinate-c variables."""
     if not 1 <= j <= n:

@@ -25,7 +25,13 @@ from shapeforge.engine import (
     verify_completeness,
     verify_sign_conflict,
 )
-from shapeforge.multipoly import MPoly, slater_basis, source_shape, vandermonde
+from shapeforge.multipoly import (
+    MPoly,
+    slater_basis,
+    slater_to_poly,
+    source_shape,
+    vandermonde,
+)
 from shapeforge.serialize import document_from_result, document_to_dot
 from shapeforge.qseries import (
     Statistics,
@@ -265,3 +271,14 @@ def test_criterion_9_property_suites(timed33, timed43, capsys):
                 done += 1
             trips += done
         assert trips == 50
+
+        # a (4,3) grade-12 state, drawn as the benchmark's decompose
+        # workload draws its (3,3) states (seed 1, op 0), round-trips
+        res43 = timed43[0]
+        pick = random.Random("1/0/12")
+        psi = slater_to_poly({rows: pick.choice((-3, -2, -1, 1, 2, 3))
+                              for rows in pick.sample(slater_basis(4, 3, 12), 3)},
+                             4, 3)
+        phis = express_in_basis(psi, res43.records, 4, 3)
+        assert any(phis)
+        assert assemble(res43.records, phis, 4, 3) == psi

@@ -669,6 +669,26 @@ def test_express_round_trip_top_grade():
     assert assemble(records, phis, 3, 3) == psi
 
 
+def test_express_round_trip_two_five():
+    # five coordinates: a block per multidegree of up to five parts
+    rng = random.Random(2505)
+    records = enumerate_shapes(2, 5).records
+    assert degree_D(5, 2) == 5
+    for target in (2, 3, 4, 5):
+        built = [dict() for _ in records]
+        for i, rec in enumerate(records):
+            if rec.grade > target:
+                continue
+            monos = generator_monomials(2, 5, target - rec.grade)
+            for gexp in rng.sample(monos, min(2, len(monos))):
+                built[i][gexp] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        psi = assemble(records, built, 2, 5)
+        assert not psi.is_zero()
+        phis = express_in_basis(psi, records, 2, 5)
+        assert phis == built
+        assert assemble(records, phis, 2, 5) == psi
+
+
 def test_assemble_matches_the_monomial_products():
     # assemble shares its products with express_in_basis, so it is checked
     # here against generator monomials multiplied out in MPoly

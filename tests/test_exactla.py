@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from shapeforge.exactla import SparseIntMatrix
 
 
@@ -175,3 +177,103 @@ def test_pivot_rows_are_primitive_and_deterministic():
         for x in row.values():
             g = gcd(g, x)
         assert g == 1
+
+
+def fraction_solve(equations, nunknowns):
+    """Gauss-Jordan over the rationals on [A | b]; the solution of a
+    consistent system with full column rank."""
+    mat = [[Fraction(a) for a in coeffs] + [Fraction(b)]
+           for coeffs, b in equations]
+    rank = 0
+    for col in range(nunknowns):
+        pivot = next(i for i in range(rank, len(mat)) if mat[i][col])
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        mat[rank] = [x / mat[rank][col] for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    assert all(not row[-1] for row in mat[rank:])
+    return [mat[c][-1] for c in range(nunknowns)]
+
+
+def echelon_solve(equations, nunknowns):
+    """Forward elimination of the equations with the right-hand side in
+    column nunknowns, then back-substitution, as Fractions."""
+    m = SparseIntMatrix()
+    for coeffs, b in equations:
+        m.try_extend({**{c: a for c, a in enumerate(coeffs) if a},
+                      nunknowns: b})
+    num, den = m.solve(nunknowns)
+    assert den > 0 and all(num.values())
+    return [Fraction(num.get(c, 0), den) for c in range(nunknowns)]
+
+
+def integer_equations(rows, x):
+    """The equations rows . x == b, each scaled to integers."""
+    out = []
+    for row in rows:
+        b = sum(a * xc for a, xc in zip(row, x))
+        out.append(([a * b.denominator for a in row], b.numerator))
+    return out
+
+
+def test_solve_matches_fraction_gauss_on_random_systems():
+    rng = random.Random(5150)
+    checked = {"square": 0, "overdetermined": 0}
+    while min(checked.values()) < 25:
+        k = rng.randrange(1, 7)
+        kind = rng.choice(list(checked))
+        nrows = k if kind == "square" else k + rng.randrange(1, 4)
+        rows = [[rng.randrange(-5, 6) if rng.random() < 0.6 else 0
+                 for _ in range(k)] for _ in range(nrows)]
+        if oracle_rank([dict(enumerate(r)) for r in rows], k) < k:
+            continue
+        x = [Fraction(rng.randrange(-9, 10), rng.randrange(1, 6))
+             for _ in range(k)]
+        equations = integer_equations(rows, x)
+        rng.shuffle(equations)
+        assert echelon_solve(equations, k) == fraction_solve(equations, k) == x
+        checked[kind] += 1
+
+
+def test_solve_inconsistent_system_raises():
+    m = SparseIntMatrix()
+    m.try_extend({0: 1, 2: 1})
+    m.try_extend({0: 2, 2: 3})     # x0 == 1 and 2 * x0 == 3
+    with pytest.raises(ValueError, match="inconsistent"):
+        m.solve(2)
+    # an equation without unknowns: 0 == 4
+    m = SparseIntMatrix()
+    m.try_extend({1: 4})
+    with pytest.raises(ValueError, match="inconsistent"):
+        m.solve(1)
+    # a rank-deficient but consistent system does not raise
+    m = SparseIntMatrix()
+    m.try_extend({0: 1, 1: 1, 2: 2})
+    m.try_extend({0: 2, 1: 2, 2: 4})
+    assert m.solve(2) == ({0: 2}, 1)
+
+
+def test_solve_unknowns_without_a_pivot_are_zero():
+    # x0 + x1 + x3 == 3 and 2 * x2 == 5: x1 and x3 have no pivot
+    m = SparseIntMatrix()
+    m.try_extend({0: 1, 1: 1, 3: 1, 4: 3})
+    m.try_extend({2: 2, 4: 5})
+    num, den = m.solve(4)
+    assert (num, den) == ({0: 6, 2: 5}, 2)
+    # a homogeneous system has the zero solution
+    m = SparseIntMatrix()
+    m.try_extend({0: 3, 1: -1})
+    assert m.solve(2) == ({}, 1)
+    assert SparseIntMatrix().solve(0) == ({}, 1)
+
+
+def test_solve_big_integer_exactness():
+    big = 10 ** 30
+    rows = [[big, big + 1, 0], [big + 1, big + 2, 1], [0, 1, big]]
+    x = [Fraction(1, 3), Fraction(-2 * big, 7), Fraction(big + 1)]
+    equations = integer_equations(rows, x)
+    assert echelon_solve(equations, 3) == x
+    assert echelon_solve(equations[::-1], 3) == x

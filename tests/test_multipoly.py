@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from shapeforge.multipoly import (
     slater_times_elementary,
     slater_to_poly,
     source_shape,
+    source_slater,
     vandermonde,
 )
 from shapeforge.qseries import degree_D, state_count_series
@@ -238,6 +240,23 @@ def test_source_shape_rejects_even_d():
 
 def test_source_shape_n1_is_constant():
     assert source_shape(1, 3) == MPoly.const(1, 3, 1)
+
+
+@pytest.mark.parametrize("n, d, sign", [(2, 3, -1), (3, 3, -1), (2, 5, -1),
+                                        (4, 3, 1), (1, 3, 1), (3, 1, -1)])
+def test_source_slater_is_the_expanded_source_shape(n, d, sign):
+    coeffs = source_slater(n, d)
+    assert coeffs == slater_coefficients(source_shape(n, d))
+    assert len(coeffs) == math.factorial(n) ** (d - 1)
+    # the global sign is that of the reversal, (-1)^(n(n-1)/2): the set
+    # with every coordinate in particle order carries it
+    assert coeffs[tuple((i,) * d for i in range(n))] == sign
+    assert set(coeffs.values()) <= {1, -1}
+
+
+def test_source_slater_rejects_even_d():
+    with pytest.raises(OddDimensionRequiredError):
+        source_slater(3, 2)
 
 
 def test_even_d_vandermonde_product_is_symmetric_under_swap():
