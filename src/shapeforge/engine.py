@@ -83,10 +83,9 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import ge
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactla import SparseIntMatrix
 from .multipoly import (
@@ -126,21 +125,42 @@ class NotationRegressionError(RuntimeError):
     """A pinned operator-notation identity stopped holding."""
 
 
+class _Slotted:
+    """Field-wise == and a repr naming every field, for a mutable record
+    type whose __slots__ lists its fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(self.__slots__, self._values())) + ")"
+
+
 # --- vocabulary -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(NamedTuple):
     max_letters: int = 4
     max_amount: int = 3
     max_drop: int = 4
     exhaustive: bool = False   # keep scanning a grade after it has filled
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    d: int
-    config: EngineConfig
-    words: tuple[SymWord, ...]
+class Vocabulary(_Slotted):
+    __slots__ = ("d", "config", "words")
+
+    def __init__(self, d: int, config: EngineConfig,
+                 words: tuple[SymWord, ...]):
+        self.d = d
+        self.config = config
+        self.words = words
 
     def __len__(self) -> int:
         return len(self.words)
@@ -199,8 +219,7 @@ def _is_single_unit_down(w: SymWord) -> bool:
 
 # --- run artifacts ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """How a shape was produced: the root, a lowering word applied to a
     parent, or an oracle element.  The shape's Slater coefficients are
     sign * (raw result / content)."""
@@ -213,8 +232,7 @@ class Provenance:
     sign: int = 1
 
 
-@dataclass
-class ShapeRecord:
+class ShapeRecord(NamedTuple):
     id: int
     grade: int
     # {rows ascending: coefficient}: primitive, positive leading coefficient;
@@ -248,8 +266,10 @@ def _multidegree(rows: tuple) -> tuple:
     return tuple(map(sum, zip(*rows)))
 
 
-@dataclass
-class BranchingTree:
+class BranchingTree(NamedTuple):
+    """Filled in place by the descent: edges and extra_edges are never
+    reassigned."""
+
     root: int
     edges: dict[int, tuple[int, SymWord]]              # child -> (parent, word)
     extra_edges: list[tuple[int, int, SymWord, int]]   # (from, to, word, sign)
@@ -258,33 +278,48 @@ class BranchingTree:
         return len(self.edges)
 
 
-@dataclass
-class GradeStats:
-    expected: int
-    found: int = 0
-    tried: int = 0
-    zero: int = 0
-    survived: int = 0    # rejected: not annihilated by every unit lowering
-    in_span: int = 0
-    pruned: int = 0      # zero by reach: settled without applying the word
-    skipped: int = 0
-    fallback: int = 0
+class GradeStats(_Slotted):
+    __slots__ = ("expected", "found", "tried", "zero", "survived", "in_span",
+                 "pruned", "skipped", "fallback")
+
+    def __init__(self, expected: int, found: int = 0, tried: int = 0,
+                 zero: int = 0, survived: int = 0, in_span: int = 0,
+                 pruned: int = 0, skipped: int = 0, fallback: int = 0):
+        self.expected = expected
+        self.found = found
+        self.tried = tried
+        self.zero = zero
+        # rejected: not annihilated by every unit lowering
+        self.survived = survived
+        self.in_span = in_span
+        # zero by reach: settled without applying the word
+        self.pruned = pruned
+        self.skipped = skipped
+        self.fallback = fallback
 
 
-@dataclass
-class RunReport:
-    n: int
-    d: int
-    vocabulary_size: int
-    per_grade: dict[int, GradeStats]
-    fallback_events: list[tuple[int, int]] = field(default_factory=list)
-    decisions: list[tuple] = field(default_factory=list)
-    annihilation_warnings: list[tuple[int, int]] = field(default_factory=list)
-    elapsed: float = 0.0
+class RunReport(_Slotted):
+    __slots__ = ("n", "d", "vocabulary_size", "per_grade", "fallback_events",
+                 "decisions", "annihilation_warnings", "elapsed")
+
+    def __init__(self, n: int, d: int, vocabulary_size: int,
+                 per_grade: dict[int, GradeStats],
+                 fallback_events: list[tuple[int, int]] | None = None,
+                 decisions: list[tuple] | None = None,
+                 annihilation_warnings: list[tuple[int, int]] | None = None,
+                 elapsed: float = 0.0):
+        self.n = n
+        self.d = d
+        self.vocabulary_size = vocabulary_size
+        self.per_grade = per_grade
+        self.fallback_events = [] if fallback_events is None else fallback_events
+        self.decisions = [] if decisions is None else decisions
+        self.annihilation_warnings = ([] if annihilation_warnings is None
+                                      else annihilation_warnings)
+        self.elapsed = elapsed
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     n: int
     d: int
     records: list[ShapeRecord]

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 from .engine import (
     BranchingTree,
@@ -28,8 +27,7 @@ from .shiftops import SymWord, word_from_str, word_to_str
 GENERATOR_ORDER = "lex, coordinate-major"
 
 
-@dataclass
-class ShapeDocument:
+class ShapeDocument(NamedTuple):
     n: int
     d: int
     generator_order: str

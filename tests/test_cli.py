@@ -1,9 +1,11 @@
-import dataclasses
 import hashlib
 import json
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +21,19 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # every command pays for its imports; the record types are NamedTuples
+    # and slotted classes, so dataclasses (with the inspect, ast and dis
+    # it pulls in) stays out of start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shapeforge.cli; print('dataclasses' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True)
+    assert probe.stdout.strip() == "False", probe.stderr
 
 
 # --- poly ----------------------------------------------------------------
@@ -173,10 +188,8 @@ def test_gen_failed_write_leaves_no_artifact(tmp_path, capsys):
 def test_gen_histogram_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     result = enumerate_shapes(2, 3)
     last = result.records[-1]
-    doctored = dataclasses.replace(
-        result,
-        records=result.records[:-1]
-        + [dataclasses.replace(last, grade=last.grade + 1)],
+    doctored = result._replace(
+        records=result.records[:-1] + [last._replace(grade=last.grade + 1)],
     )
     monkeypatch.setattr("shapeforge.cli.enumerate_shapes",
                         lambda n, d, config: doctored)

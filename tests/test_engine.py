@@ -1,7 +1,6 @@
 """Enumeration engine tests: vocabulary, descent, completeness, and
 exact decomposition over the symmetric generators."""
 
-import dataclasses
 import itertools
 import logging
 import math
@@ -12,6 +11,7 @@ import pytest
 
 from shapeforge.engine import (
     EngineConfig,
+    GradeStats,
     IncompletenessError,
     _CoinvariantReducer,
     _NormalFormSpan,
@@ -204,6 +204,27 @@ def test_enumerate_three_particles_golden():
     assert not result.report.fallback_events
     assert not result.report.annihilation_warnings
     assert result.report.elapsed > 0
+
+
+def test_record_types_contract():
+    rec = enumerate_shapes(2, 3).records[1]
+    for obj, name in ((rec, "grade"), (rec.provenance, "sign"),
+                      (EngineConfig(), "max_letters")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    moved = rec._replace(grade=rec.grade + 1)
+    assert moved.grade == rec.grade + 1
+    assert moved[:2] != rec[:2] and moved[2:] == rec[2:]
+    assert EngineConfig() == EngineConfig(4, 3, 4, False)
+    assert hash(EngineConfig()) == hash(EngineConfig(4, 3, 4, False))
+    stats = GradeStats(expected=3, found=2, tried=5)
+    assert stats == GradeStats(3, 2, 5)
+    assert stats != GradeStats(3, 2, 5, zero=1)
+    assert repr(stats) == (
+        "GradeStats(expected=3, found=2, tried=5, zero=0, survived=0, "
+        "in_span=0, pruned=0, skipped=0, fallback=0)")
+    for d in (1, 3, 5):
+        assert len(build_vocabulary(d)) == len(build_vocabulary(d).words)
 
 
 def test_enumerate_determinism():
@@ -519,7 +540,7 @@ def test_verify_completeness_detects_symmetric_multiple():
     records = list(enumerate_shapes(3, 3).records)
     low = next(rec for rec in records if rec.grade == 2)
     i = next(i for i, rec in enumerate(records) if rec.grade == 3)
-    records[i] = dataclasses.replace(records[i], slater=slater_coefficients(
+    records[i] = records[i]._replace(slater=slater_coefficients(
         elementary_symmetric(0, 1, 3, 3) * low.poly))
     assert module_span_matrix(3, records, 3, 3).rank() < \
         state_count_series(3, 3, 3).coeff(3)
@@ -540,14 +561,14 @@ def test_verify_completeness_detects_symmetric_multiple():
             controls += 1
             prod = slater_times_elementary(low.slater, rise.index(1), 1)
             edited = list(records)
-            edited[slot.id] = dataclasses.replace(slot, slater=prod)
+            edited[slot.id] = slot._replace(slater=prod)
             with pytest.raises(IncompletenessError,
                                match=f"grade {slot.grade}:"):
                 verify_completeness(3, 3, edited)
             summed = dict(slot.slater)
             for rows, c in prod.items():
                 summed[rows] = summed.get(rows, 0) + 3 * c
-            edited[slot.id] = dataclasses.replace(slot, slater={
+            edited[slot.id] = slot._replace(slater={
                 rows: c for rows, c in summed.items() if c})
             verify_completeness(3, 3, edited)
     assert controls == 60
@@ -771,13 +792,13 @@ def test_express_rejects_malformed_records():
     with pytest.raises(ValueError):
         slater_coefficients(lone)
     bad = list(records)
-    bad[i] = dataclasses.replace(records[i], slater=None)
+    bad[i] = records[i]._replace(slater=None)
     with pytest.raises(ValueError, match="not antisymmetric"):
         express_in_basis(psi, bad, 2, 3)
     # antisymmetric and of total degree 1, but in two multidegrees
     mixed = (antisymmetrize([(0, 0, 0), (1, 0, 0)])
              + antisymmetrize([(0, 0, 0), (0, 1, 0)]))
-    bad[i] = dataclasses.replace(records[i], slater=slater_coefficients(mixed))
+    bad[i] = records[i]._replace(slater=slater_coefficients(mixed))
     with pytest.raises(ValueError, match="homogeneous in each coordinate"):
         express_in_basis(psi, bad, 2, 3)
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from shapeforge.engine import EngineConfig, enumerate_shapes
+from shapeforge.engine import EngineConfig, ShapeRecord, enumerate_shapes
 from shapeforge.serialize import (
     document_from_result,
     document_to_dict,
@@ -34,7 +34,9 @@ def test_dumps_document_matches_json_dumps(n, d, config):
                          ids=["default", "oracle"])
 def test_records_hold_only_slater_coefficients(config):
     result = enumerate_shapes(3, 3, config)
-    # the descent keeps no expanded polynomial on any record
-    assert not any("poly" in vars(rec) for rec in result.records)
+    # the descent keeps no expanded polynomial on any record, and a record
+    # has no __dict__ that one could be cached in
+    assert "poly" not in ShapeRecord._fields
+    assert not any(hasattr(rec, "__dict__") for rec in result.records)
     doc = document_from_result(result)
     assert loads_document(dumps_document(doc)).records == doc.records
