@@ -32,7 +32,7 @@ from .multipoly import (
     slater_normalized,
     source_slater,
 )
-from .qseries import Statistics, shape_poly, state_count_series
+from .qseries import Statistics, shape_entropy, shape_poly, state_count_series
 from .serialize import (
     ShapeDocument,
     document_from_result,
@@ -133,17 +133,12 @@ def cmd_gen(args) -> int:
         return EXIT_INCOMPLETE
 
     # both checks run before anything is written, so a failed run leaves
-    # no artifact behind that looks like a finished one
+    # no artifact behind that looks like a finished one; the counts are
+    # the ones verify checks first
     doc = document_from_result(result)
-    expected = {
-        g: c for g, c in enumerate(doc.shape_poly) if c
-    }
-    if result.histogram() != expected:
-        print(
-            f"histogram mismatch: found {result.histogram()}, "
-            f"expected {expected}",
-            file=sys.stderr,
-        )
+    failure = _check_counts(doc)
+    if failure is not None:
+        print(f"histogram mismatch: {failure}", file=sys.stderr)
         return EXIT_HISTOGRAM
     if not args.no_verify:
         try:
@@ -176,7 +171,7 @@ def cmd_gen(args) -> int:
             if tmp.is_file():
                 tmp.unlink()
     print(
-        f"{len(result.records)} shapes, {result.tree.edge_count()} tree "
+        f"{len(result.records)} shapes, {len(result.tree.edges)} tree "
         f"edges, {len(result.tree.extra_edges)} extra edges -> {out}"
     )
     return EXIT_OK
@@ -206,10 +201,19 @@ def _check_counts(doc: ShapeDocument) -> str | None:
     return None
 
 
+# the provenance fields that gen never writes for a record of each kind
+_FOREIGN_PROVENANCE = {
+    "root": ("parent", "word", "rows"),
+    "word": ("rows",),
+    "oracle": ("parent", "word"),
+}
+
+
 def _check_records(doc: ShapeDocument) -> str | None:
-    """Each record is a canonical antisymmetric shape of its grade and
-    replays from its provenance, in occupation-set coordinates: a word
-    acts on the parent's Slater coefficients as in the descent."""
+    """Each record is a canonical antisymmetric shape of its grade, carries
+    that grade's entropy, and replays from its provenance, which holds only
+    its kind's fields, in occupation-set coordinates: a word acts on the
+    parent's Slater coefficients as in the descent."""
     n, d = doc.n, doc.d
     for idx, rec in enumerate(doc.records):
         tag = f"record {rec.id}"
@@ -224,9 +228,19 @@ def _check_records(doc: ShapeDocument) -> str | None:
         # Alt(rows) is homogeneous of grade sum(rows)
         if sum(map(sum, next(iter(coeffs)))) != rec.grade:
             return f"{tag}: polynomial grade differs from the stated grade"
+        # _check_counts has matched every grade to a shape-polynomial term
+        if not math.isclose(rec.entropy, shape_entropy(n, d, rec.grade),
+                            rel_tol=1e-12):
+            return f"{tag}: entropy differs from the log of its grade's count"
         if slater_normalized(coeffs)[1:] != (1, 1):
             return f"{tag}: polynomial is not in canonical form"
         pv = rec.provenance
+        if not isinstance(pv.kind, str) or pv.kind not in _FOREIGN_PROVENANCE:
+            return f"{tag}: unknown provenance kind {pv.kind!r}"
+        foreign = [f for f in _FOREIGN_PROVENANCE[pv.kind]
+                   if getattr(pv, f) is not None]
+        if foreign:
+            return f"{tag}: {pv.kind} provenance has {', '.join(foreign)}"
         if pv.kind == "root":
             if rec.id != doc.tree.root:
                 return f"{tag}: root provenance on a non-root id"
@@ -240,14 +254,12 @@ def _check_records(doc: ShapeDocument) -> str | None:
             if not 0 <= pv.parent < rec.id:
                 return f"{tag}: parent id out of range"
             raw = apply_symword_slater(pv.word, doc.records[pv.parent].slater)
-        elif pv.kind == "oracle":
+        else:
             if pv.rows is None:
                 return f"{tag}: oracle provenance missing rows"
             rows = list(pv.rows)    # distinct, as the loader checked
             sign = _sort_with_sign(rows)   # the listed order carries it
             raw = {tuple(rows): sign}
-        else:
-            return f"{tag}: unknown provenance kind {pv.kind!r}"
         if not raw:
             return f"{tag}: replay gives zero"
         if slater_normalized(raw) != (coeffs, pv.content, pv.sign):

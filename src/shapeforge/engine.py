@@ -62,12 +62,13 @@ and the monomial normal forms as the references for the certificate.
 express_in_basis computes the decomposition itself by exact elimination
 in the same occupation-set coordinates, reading each shape's set
 coefficients from its record (ShapeRecord.slater).  An elementary
-symmetric generator acts on a set by raising subsets of its rows
-(Slater-Condon rules; Szabo & Ostlund, Modern Quantum Chemistry,
-ch. 2).  R and every shape are homogeneous in each coordinate
-separately, so the linear system splits into independent blocks, one
-per multidegree; only the products in the target's blocks are built,
-and each set's image under a generator is worked out once per call.
+symmetric generator e_j acts on a set by raising j-subsets of its rows
+(multipoly.slater_times_elementary; Slater-Condon rules; Szabo &
+Ostlund, Modern Quantum Chemistry, ch. 2).  R and every shape are
+homogeneous in each coordinate separately, so the linear system splits
+into independent blocks, one per multidegree; only the products in the
+target's blocks are built, and each set's image under a generator is
+worked out once per call, in one table per generator.
 Each block is solved on its own, transposed: one equation per
 occupation set, the block's products as unknowns and the target's
 coefficients as the right-hand side, eliminated by exactla's one kernel
@@ -153,19 +154,6 @@ class EngineConfig(NamedTuple):
     exhaustive: bool = False   # keep scanning a grade after it has filled
 
 
-class Vocabulary(_Slotted):
-    __slots__ = ("d", "config", "words")
-
-    def __init__(self, d: int, config: EngineConfig,
-                 words: tuple[SymWord, ...]):
-        self.d = d
-        self.config = config
-        self.words = words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
 def _coordinate_atoms(c: int, config: EngineConfig) -> list[tuple[Letter, ...]]:
     """Net-lowering letter groups acting on a single coordinate: plain
     lowerings and raise-then-lower pairs (the lowering applies first)."""
@@ -176,7 +164,8 @@ def _coordinate_atoms(c: int, config: EngineConfig) -> list[tuple[Letter, ...]]:
     return atoms
 
 
-def build_vocabulary(d: int, config: EngineConfig = EngineConfig()) -> Vocabulary:
+def build_vocabulary(d: int, config: EngineConfig = EngineConfig()
+                     ) -> tuple[SymWord, ...]:
     """All words formed by picking one atom for each coordinate of a
     nonempty coordinate subset, concatenated in descending coordinate
     order, within the letter-count and net-drop bounds.  Ordered by
@@ -209,7 +198,7 @@ def build_vocabulary(d: int, config: EngineConfig = EngineConfig()) -> Vocabular
 
     grow(d, (), 0)
     words.sort(key=lambda w: (-w.net_grade(), len(w.word.letters), w.word.letters))
-    return Vocabulary(d=d, config=config, words=tuple(words))
+    return tuple(words)
 
 
 def _is_single_unit_down(w: SymWord) -> bool:
@@ -274,9 +263,6 @@ class BranchingTree(NamedTuple):
     edges: dict[int, tuple[int, SymWord]]              # child -> (parent, word)
     extra_edges: list[tuple[int, int, SymWord, int]]   # (from, to, word, sign)
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 class GradeStats(_Slotted):
     __slots__ = ("expected", "found", "tried", "zero", "survived", "in_span",
@@ -299,20 +285,15 @@ class GradeStats(_Slotted):
 
 
 class RunReport(_Slotted):
-    __slots__ = ("n", "d", "vocabulary_size", "per_grade", "fallback_events",
-                 "decisions", "annihilation_warnings", "elapsed")
+    __slots__ = ("vocabulary_size", "per_grade", "decisions",
+                 "annihilation_warnings", "elapsed")
 
-    def __init__(self, n: int, d: int, vocabulary_size: int,
-                 per_grade: dict[int, GradeStats],
-                 fallback_events: list[tuple[int, int]] | None = None,
+    def __init__(self, vocabulary_size: int, per_grade: dict[int, GradeStats],
                  decisions: list[tuple] | None = None,
                  annihilation_warnings: list[tuple[int, int]] | None = None,
                  elapsed: float = 0.0):
-        self.n = n
-        self.d = d
         self.vocabulary_size = vocabulary_size
         self.per_grade = per_grade
-        self.fallback_events = [] if fallback_events is None else fallback_events
         self.decisions = [] if decisions is None else decisions
         self.annihilation_warnings = ([] if annihilation_warnings is None
                                       else annihilation_warnings)
@@ -399,15 +380,14 @@ def enumerate_shapes(
     # each word with its floor and the coordinates where it can fail to
     # commute with the unit lowering, worked out once per call
     by_net: dict[int, list[tuple[int, SymWord, tuple, tuple]]] = {}
-    for widx, w in enumerate(vocab.words):
+    for widx, w in enumerate(vocab):
         if _is_single_unit_down(w):
             continue
         by_net.setdefault(w.net_grade(), []).append(
             (widx, w, word_floor(w, d), _raised_coordinates(w)))
 
     per_grade = {top: GradeStats(expected=1, found=1)}
-    report = RunReport(n=n, d=d, vocabulary_size=len(vocab),
-                       per_grade=per_grade)
+    report = RunReport(vocabulary_size=len(vocab), per_grade=per_grade)
 
     records = [ShapeRecord(0, top, source_slater(n, d),
                            Provenance(kind="root"), shape_entropy(n, d, top))]
@@ -513,7 +493,6 @@ def enumerate_shapes(
             for rec in records:
                 if rec.grade == g:
                     classes.extend(rec.slater)
-            filled = 0
             for rows in slater_basis(n, d, g):
                 if classes.extend({rows: 1}):
                     prim, cont, sign = slater_normalized({rows: 1})
@@ -524,15 +503,13 @@ def enumerate_shapes(
                                  survives)
                     stats.found += 1
                     stats.fallback += 1
-                    filled += 1
                     for c in survives:
                         logger.warning("shape %d survives unit lowering on "
                                        "coordinate %d", rid, c)
                         report.annihilation_warnings.append((rid, c))
                     if stats.found == expected:
                         break
-            report.fallback_events.append((g, filled))
-            logger.info("grade %d: oracle filled %d shapes", g, filled)
+            logger.info("grade %d: oracle filled %d shapes", g, stats.fallback)
             if stats.found < expected:
                 raise IncompletenessError(
                     f"grade {g}: {stats.found} of {expected} shapes even "
@@ -592,31 +569,13 @@ def _rising_monomials(per_rise: Sequence[list[tuple]], degree: tuple,
             yield sum(parts, ())
 
 
-def _lift(coeffs: dict[tuple, int], c: int, j: int,
-          images: dict[tuple, tuple]) -> dict[tuple, int]:
-    """slater_times_elementary(coeffs, c, j), reading each set's image as
-    (set, sign) pairs from images, which it fills on the set's first use."""
-    out: dict[tuple, int] = {}
-    for rows, coeff in coeffs.items():
-        image = images.get(rows)
-        if image is None:
-            image = images[rows] = tuple(
-                slater_times_elementary({rows: 1}, c, j).items())
-        for new, sign in image:
-            v = out.get(new, 0) + sign * coeff
-            if v:
-                out[new] = v
-            else:
-                del out[new]
-    return out
-
-
 def _product(coeffs: dict[tuple, int], gexp: tuple, n: int,
              products: dict, lifts: dict) -> dict[tuple, int]:
     """The generator monomial gexp times sum(coeff * Alt(rows)) in Slater
-    coordinates, one elementary symmetric generator at a time (_lift).
-    products holds this shape's products by monomial and lifts each
-    generator's set images; both fill as they are met, for one call."""
+    coordinates, one elementary symmetric generator at a time
+    (slater_times_elementary).  products holds this shape's products by
+    monomial and lifts each generator's set images; both fill as they are
+    met, for one call."""
     got = products.get(gexp)
     if got is None:
         i = next((i for i, e in enumerate(gexp) if e), None)
@@ -625,8 +584,9 @@ def _product(coeffs: dict[tuple, int], gexp: tuple, n: int,
         else:
             reduced = gexp[:i] + (gexp[i] - 1,) + gexp[i + 1:]
             c, j = divmod(i, n)
-            got = _lift(_product(coeffs, reduced, n, products, lifts), c,
-                        j + 1, lifts.setdefault(i, {}))
+            got = slater_times_elementary(
+                _product(coeffs, reduced, n, products, lifts), c, j + 1,
+                lifts.setdefault(i, {}))
         products[gexp] = got
     return got
 

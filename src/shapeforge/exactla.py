@@ -73,10 +73,6 @@ class SparseIntMatrix:
         self._pivots[pivot] = residual
         return True
 
-    def contains(self, vec: dict[int, int]) -> bool:
-        """Span membership without modifying the matrix."""
-        return not self.reduce(vec)
-
     def solve(self, rhs: int) -> tuple[dict[int, int], int]:
         """Back-substitute the echelon's rows as the equations
         sum(row[c] * x_c for c < rhs) == row[rhs].

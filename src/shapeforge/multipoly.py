@@ -16,7 +16,9 @@ coefficients {rows ascending: coefficient}.  The converter pair
 slater_coefficients / slater_to_poly is the one way this package
 expands, checks or normalizes an antisymmetric polynomial:
 antisymmetrize and MPoly.is_antisymmetric go through it, and
-slater_normalized and slater_times_elementary work on the coefficients.
+slater_normalized and slater_times_elementary (the product with an
+elementary symmetric generator e_j, from which the decomposition builds
+its products) work on the coefficients.
 """
 
 from __future__ import annotations
@@ -294,7 +296,7 @@ def source_slater(n: int, d: int) -> dict[tuple, int]:
     if d % 2 == 0:
         raise OddDimensionRequiredError(f"source shape needs odd d, got {d}")
     reversal = -1 if n * (n - 1) // 2 % 2 else 1
-    signed = [(sigma, _perm_sign(sigma))
+    signed = [(sigma, _sort_with_sign(list(sigma)))
               for sigma in itertools.permutations(range(n))]
     out = {}
     for combo in itertools.product(signed, repeat=d - 1):
@@ -336,23 +338,6 @@ def antisymmetrize(rows: Sequence[tuple]) -> MPoly:
     ordered = list(rows)
     sign = _sort_with_sign(ordered)
     return slater_to_poly({tuple(ordered): sign}, n, d)
-
-
-def _perm_sign(sigma: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def slater_coefficients(p: MPoly) -> dict[tuple, int]:
@@ -428,7 +413,7 @@ def _alternation_table(n: int, d: int) -> tuple[tuple[Callable, int], ...]:
             gather = lambda flat: flat
         else:
             gather = operator.itemgetter(*slots)
-        table.append((gather, _perm_sign(sigma)))
+        table.append((gather, _sort_with_sign(list(sigma))))
     return tuple(table)
 
 
@@ -444,30 +429,45 @@ def slater_to_poly(coeffs: Mapping[tuple, int], n: int, d: int) -> MPoly:
     return MPoly(n, d, terms)
 
 
-def slater_times_elementary(coeffs: Mapping[tuple, int], c: int,
-                            j: int) -> dict[tuple, int]:
+def slater_times_elementary(coeffs: Mapping[tuple, int], c: int, j: int,
+                            images: dict[tuple, tuple] | None = None
+                            ) -> dict[tuple, int]:
     """e_j in the coordinate-c variables times sum(coeff * Alt(rows)), in
     the Slater coordinates of slater_coefficients.
 
     e_j is symmetric, so it acts on Alt(rows) as the sum over j-subsets of
     rows, each raised by one in coordinate c.  A result with two equal rows
     vanishes; the others are re-sorted and take the sign of that sort.
+    Each set's image is worked out once, as (set, sign) pairs, into images;
+    calls for the same c and j may share that table.
     """
+    if images is None:
+        images = {}
     out: dict[tuple, int] = {}
     for rows, coeff in coeffs.items():
-        for subset in itertools.combinations(range(len(rows)), j):
-            new = list(rows)
-            for a in subset:
-                r = new[a]
-                new[a] = r[:c] + (r[c] + 1,) + r[c + 1:]
-            sign = _sort_with_sign(new)
-            if sign:
-                key = tuple(new)
-                v = out.get(key, 0) + sign * coeff
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+        image = images.get(rows)
+        if image is None:
+            raised: dict[tuple, int] = {}
+            for subset in itertools.combinations(range(len(rows)), j):
+                new = list(rows)
+                for a in subset:
+                    r = new[a]
+                    new[a] = r[:c] + (r[c] + 1,) + r[c + 1:]
+                sign = _sort_with_sign(new)
+                if sign:
+                    key = tuple(new)
+                    v = raised.get(key, 0) + sign
+                    if v:
+                        raised[key] = v
+                    else:
+                        del raised[key]
+            image = images[rows] = tuple(raised.items())
+        for new, sign in image:
+            v = out.get(new, 0) + sign * coeff
+            if v:
+                out[new] = v
+            else:
+                del out[new]
     return out
 
 

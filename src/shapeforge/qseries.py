@@ -151,10 +151,6 @@ class QPoly:
             raise ArithmeticError(f"coefficients not divisible by {k}")
         return QPoly(tuple(c // k for c in self.coeffs))
 
-    def coeff_sum(self) -> int:
-        """Value at q = 1."""
-        return sum(self.coeffs)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

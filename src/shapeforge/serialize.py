@@ -30,7 +30,6 @@ GENERATOR_ORDER = "lex, coordinate-major"
 class ShapeDocument(NamedTuple):
     n: int
     d: int
-    generator_order: str
     shape_poly: list[int]
     records: list[ShapeRecord]
     tree: BranchingTree
@@ -41,7 +40,6 @@ def document_from_result(result: EnumerationResult) -> ShapeDocument:
     return ShapeDocument(
         n=result.n,
         d=result.d,
-        generator_order=GENERATOR_ORDER,
         shape_poly=coeffs,
         records=result.records,
         tree=result.tree,
@@ -168,7 +166,7 @@ def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
     return {
         "n": doc.n,
         "d": doc.d,
-        "generator_order": doc.generator_order,
+        "generator_order": GENERATOR_ORDER,
         "shape_poly": [str(c) for c in doc.shape_poly],
         "shapes": [
             {
@@ -207,9 +205,15 @@ def document_from_dict(data) -> ShapeDocument:
     """Parse a document, checking it against the artifact schema: every
     violation raises ArtifactFormatError, so nothing malformed (a wrong
     type, an exponent vector of the wrong length or with a negative entry,
-    a word naming a coordinate >= d) reaches the polynomial code."""
+    a word naming a coordinate >= d, a generator order other than
+    GENERATOR_ORDER) reaches the polynomial code."""
     n = _int(_field(data, "n", "document"), "n")
     d = _int(_field(data, "d", "document"), "d")
+    order = _field(data, "generator_order", "document")
+    if order != GENERATOR_ORDER:
+        raise ArtifactFormatError(
+            f"document: generator order {order!r}, expected "
+            f"{GENERATOR_ORDER!r}")
     records = []
     shapes = _list(_field(data, "shapes", "document"), "shapes")
     for k, item in enumerate(shapes):
@@ -248,7 +252,6 @@ def document_from_dict(data) -> ShapeDocument:
     return ShapeDocument(
         n=n,
         d=d,
-        generator_order=_field(data, "generator_order", "document"),
         shape_poly=[_int(c, "shape_poly")
                     for c in _list(_field(data, "shape_poly", "document"),
                                    "shape_poly")],
@@ -340,11 +343,12 @@ def report_to_text(result: EnumerationResult) -> str:
         f"shapes: {len(result.records)} for n={result.n} d={result.d}",
         f"vocabulary: {rep.vocabulary_size} words",
         f"elapsed: {rep.elapsed:.3f}s",
-        f"tree edges: {result.tree.edge_count()}, "
+        f"tree edges: {len(result.tree.edges)}, "
         f"extra edges: {len(result.tree.extra_edges)}",
         "",
         "grade  expected  found  tried  zero  survived  in_span  pruned  skipped  fallback",
     ]
+    fallbacks = []
     for g in sorted(rep.per_grade, reverse=True):
         s = rep.per_grade[g]
         lines.append(
@@ -352,12 +356,11 @@ def report_to_text(result: EnumerationResult) -> str:
             f"{s.zero:4d}  {s.survived:8d}  {s.in_span:7d}  {s.pruned:6d}  "
             f"{s.skipped:7d}  {s.fallback:8d}"
         )
+        if s.fallback:
+            fallbacks.append(
+                f"fallback at grade {g}: oracle filled {s.fallback}")
     lines.append("")
-    if rep.fallback_events:
-        for g, filled in rep.fallback_events:
-            lines.append(f"fallback at grade {g}: oracle filled {filled}")
-    else:
-        lines.append("fallback: none")
+    lines += fallbacks or ["fallback: none"]
     if rep.annihilation_warnings:
         lines.append(
             f"annihilation warnings: {len(rep.annihilation_warnings)} "

@@ -74,10 +74,6 @@ def symword(*pairs: tuple[int, int]) -> SymWord:
     return SymWord(word(*pairs))
 
 
-def word_net_grade(w: Word | SymWord) -> int:
-    return w.net_grade()
-
-
 def apply_letter_at(letter: Letter, k: int, p: MPoly) -> MPoly:
     """Apply one letter at particle k (monomial reference).
 

@@ -139,7 +139,7 @@ def test_criterion_4_enumeration_golden(timed33, capsys):
         info["elapsed"] = elapsed
         assert len(result.records) == 36
         assert result.histogram() == {2: 3, 3: 10, 4: 6, 5: 6, 6: 7, 7: 3, 9: 1}
-        assert result.tree.edge_count() == 35
+        assert len(result.tree.edges) == 35
         root = result.records[result.tree.root]
         assert root.grade == 9
         assert root.poly == source_shape(3, 3)
@@ -224,7 +224,7 @@ def test_criterion_9_property_suites(timed33, timed43, capsys):
 
         # 200 random (word, shape) pairs: symmetrized words keep the result
         # antisymmetric (possibly zero)
-        words = build_vocabulary(3).words
+        words = build_vocabulary(3)
         pools = [res23.records, res33.records]
         for _ in range(200):
             rec = rng.choice(rng.choice(pools))

@@ -14,7 +14,11 @@ import pytest
 from shapeforge.cli import main
 from shapeforge.engine import IncompletenessError, enumerate_shapes
 from shapeforge.multipoly import antisymmetrize
-from shapeforge.serialize import document_from_dict
+from shapeforge.serialize import (
+    document_from_dict,
+    dumps_document,
+    loads_document,
+)
 
 
 def run(capsys, *argv):
@@ -125,6 +129,7 @@ def test_gen_report_mentions_vocabulary_and_grades(tmp_path, capsys):
     assert "vocabulary: 136 words" in report
     assert "grade  expected  found" in report
     assert "in_span  pruned  skipped" in report
+    assert "\nfallback: none\n" in report
 
 
 def test_gen_dot_lists_every_shape(tmp_path, capsys):
@@ -173,6 +178,10 @@ def test_gen_fallback_run_passes_certificate(tmp_path, capsys):
     ):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
             == digest, name
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    assert [line for line in report if line.startswith("fallback")] == [
+        f"fallback at grade {g}: oracle filled {k}"
+        for g, k in ((7, 3), (6, 7), (5, 6), (4, 6), (3, 10), (2, 1))]
 
 
 def test_gen_failed_write_leaves_no_artifact(tmp_path, capsys):
@@ -335,6 +344,16 @@ def test_verify_rejects_relabeled_grade(tmp_path, capsys, artifact_text):
     assert rc == 5
 
 
+def test_verify_rejects_word_record_with_rows(tmp_path, capsys, artifacts_33):
+    def mutate(doc):
+        pv = _first_provenance(doc, "word")
+        pv["rows"] = _first_provenance(doc, "oracle")["rows"]
+    rc, _, err = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33["oracle"], mutate))
+    assert rc == 5
+    assert "word provenance has rows" in err
+
+
 def _set(path, value):
     """A mutation that replaces the item at a key path with value."""
     def mutate(doc):
@@ -345,6 +364,26 @@ def _set(path, value):
     return mutate
 
 
+def _raise_entropy(doc):
+    doc["shapes"][1]["entropy"] += 1.0
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_raise_entropy, "record 1: entropy"),
+    (_set(("shapes", 0, "provenance", "parent"), 1),
+     "record 0: root provenance has parent"),
+    (_set(("shapes", 1, "provenance", "kind"), "x"),
+     "record 1: unknown provenance kind"),
+    (_set(("shapes", 1, "provenance", "kind"), []),
+     "record 1: unknown provenance kind"),
+], ids=["entropy", "root-parent", "kind-name", "kind-list"])
+def test_verify_rejects_record_fields(tmp_path, capsys, artifact_text, mutate,
+                                      message):
+    rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
+    assert rc == 5
+    assert message in err
+
+
 @pytest.mark.parametrize("mutate", [
     _set(("shapes",), None),
     _set(("shapes",), 5),
@@ -353,8 +392,9 @@ def _set(path, value):
     _set(("shapes", 0, "poly", 0, "exp"), [3, 0, 0, 0, 0]),
     _set(("shapes", 0, "poly", 0, "exp"), [3, 0, 0, 0, 0, 0, 0]),
     _set(("shapes", 0, "poly", 0, "exp", 1), -1),
+    _set(("generator_order",), "0"),
 ], ids=["shapes-null", "shapes-number", "poly-null", "word-coordinate",
-        "exp-short", "exp-long", "exp-negative"])
+        "exp-short", "exp-long", "exp-negative", "generator-order"])
 def test_verify_rejects_malformed_artifact(tmp_path, capsys, artifact_text,
                                            mutate):
     rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
@@ -364,7 +404,8 @@ def test_verify_rejects_malformed_artifact(tmp_path, capsys, artifact_text,
 
 def test_verify_random_edits_never_traceback(tmp_path, capsys, artifact_text):
     # seeded edits anywhere in a valid artifact: each one is either
-    # harmless or rejected with a documented exit code
+    # rejected with a documented exit code or harmless, that is, the
+    # document it loads to is the original, byte for byte
     base = json.loads(artifact_text)
     slots = []
 
@@ -381,9 +422,14 @@ def test_verify_random_edits_never_traceback(tmp_path, capsys, artifact_text):
     rng = random.Random(7)
     for _ in range(300):
         path = rng.choice(slots)
-        rc, _, _ = run(capsys, "verify", damaged(
-            tmp_path, artifact_text, _set(path, rng.choice(values))))
+        edited = damaged(tmp_path, artifact_text,
+                         _set(path, rng.choice(values)))
+        rc, _, _ = run(capsys, "verify", edited)
         assert rc in (0, 2, 5), path
+        if rc == 0:
+            with open(edited, encoding="utf-8") as fh:
+                reloaded = dumps_document(loads_document(fh))
+            assert reloaded == artifact_text, path
 
 
 def test_verify_missing_file(tmp_path, capsys):

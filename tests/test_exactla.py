@@ -58,8 +58,9 @@ def test_parallel_rows_do_not_extend():
 def test_contains_does_not_modify():
     m = SparseIntMatrix()
     m.try_extend({0: 1, 1: 1})
-    assert m.contains({0: 2, 1: 2})
-    assert not m.contains({0: 1})
+    # span membership is an empty residual
+    assert not m.reduce({0: 2, 1: 2})
+    assert m.reduce({0: 1})
     assert m.rank() == 1
     assert m.try_extend({0: 1})
     assert m.rank() == 2

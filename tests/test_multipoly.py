@@ -439,6 +439,31 @@ def test_slater_times_elementary_matches_product():
                     assert all(got.values())
 
 
+def test_slater_times_elementary_shares_images():
+    rng = random.Random(31)
+    for n, d in ((2, 3), (3, 3), (2, 5), (4, 3)):
+        basis = slater_basis(n, d, 4)
+        for c in range(d):
+            for j in range(1, n + 1):
+                # one table across several dicts, so later calls read the
+                # images that earlier calls filled
+                images = {}
+                for _ in range(4):
+                    coeffs = {rows: rng.choice((-3, -2, -1, 1, 2, 3))
+                              for rows in rng.sample(basis, 6)}
+                    want = elementary_symmetric(c, j, n, d) * \
+                        slater_to_poly(coeffs, n, d)
+                    got = slater_times_elementary(coeffs, c, j, images)
+                    assert got == slater_coefficients(want), (n, d, c, j)
+    # {0, 3} and {1, 2} both raise to {1, 3}, where the terms cancel
+    images = {}
+    coeffs = {((0,), (3,)): 1, ((1,), (2,)): -1}
+    assert slater_times_elementary(coeffs, 0, 1, images) == {((0,), (4,)): 1}
+    assert slater_times_elementary(coeffs, 0, 1, images) == \
+        slater_times_elementary(coeffs, 0, 1)
+    assert images[((1,), (2,))] == ((((1,), (3,)), 1),)
+
+
 def _alt_sum(coeffs, n, d):
     p = MPoly.zero(n, d)
     for rows, c in coeffs.items():

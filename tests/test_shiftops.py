@@ -21,7 +21,6 @@ from shapeforge.shiftops import (
     symword,
     word,
     word_from_str,
-    word_net_grade,
     word_to_str,
 )
 
@@ -204,9 +203,9 @@ def test_symword_slater_matches_monomial_action_on_random_words():
 # --- net grade and serialization -------------------------------------------
 
 def test_net_grade():
-    assert word_net_grade(word((0, 1), (0, -2))) == -1
-    assert word_net_grade(symword((2, -1), (1, -1), (0, -2))) == -4
-    assert word_net_grade(word((0, 3))) == 3
+    assert word((0, 1), (0, -2)).net_grade() == -1
+    assert symword((2, -1), (1, -1), (0, -2)).net_grade() == -4
+    assert word((0, 3)).net_grade() == 3
 
 
 def test_word_serialization_golden():
