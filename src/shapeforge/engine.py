@@ -7,9 +7,10 @@ generator per grade counted by the shape polynomial.  The enumerator
 walks grades downward from the single top-grade generator, applying a
 vocabulary of symmetrized lowering words to every shape found so far.
 A candidate is a new shape when it is nonzero, is annihilated by every
-symmetrized unit lowering, and extends the exact span of the shapes
-already accepted at its grade; everything is integer arithmetic, so
-acceptance is never a judgement call.
+symmetrized unit lowering, and its class in the sign coinvariants (the
+certificate, below) extends those of the shapes already accepted at its
+grade; everything is integer arithmetic, so acceptance is never a
+judgement call.
 
 The descent runs in occupation-set coordinates.  An antisymmetric
 polynomial is a sum of Slater determinants Alt(rows), one per set of n
@@ -17,13 +18,15 @@ distinct d-tuples, so every shape and candidate is held as one
 coefficient per set instead of n! monomials.  A symmetrized word is a
 one-body operator and acts on one row of a set at a time
 (shiftops.apply_symword_slater), so antisymmetry holds by construction
-and is never re-checked; the span matrix has one column per set, and
-content and sign come from the set coefficients.  A record keeps only its
+and is never re-checked; the class of a candidate comes from its set
+coefficients, and so do content and sign.  A record keeps only its
 set coefficients (ShapeRecord.slater); a reader that needs monomials
 expands one record at a time (ShapeRecord.poly) and lets it go.
 
-Two exact rules settle work in advance, so every decision is the one the
-full computation would make.  Zero by reach: a word kills a row below
+Exact rules settle work in advance, so every decision is the one the
+full computation would make.  A candidate equal to a shape accepted at
+its grade is an extra edge, and a full grade's classes span its whole
+sign part, so neither needs a span test.  Zero by reach: a word kills a row below
 its floor in any coordinate (shiftops.word_floor), so when no row of the
 parent reaches the floor the candidate is zero and the word is never
 applied.  The filter tests only where the word can fail to commute with
@@ -36,16 +39,15 @@ warning), and its children are also tested on those coordinates.
 
 If the vocabulary fails to fill a grade, the enumerator falls back to
 single Slater determinants, which span the full antisymmetric space at
-that grade; it takes one only when its class in the sign coinvariants
-(see below) is new, so the result stays a module basis.  That one span
-is the fallback's whole test, and content and sign again come from the
-set coefficients.  Fallback activations are first-class report data.
+that grade; it takes one only when its class extends the same span the
+descent accepted by, so the result stays a module basis.  Content and
+sign again come from the set coefficients.  Fallback activations are
+first-class report data.
 
-verify_completeness certifies the final generator set without forming
-a single module product.  The antisymmetric polynomials A are a free
-module over the ring R of polynomials symmetric in each coordinate
-separately (Chevalley's theorem: k[X] is free over R, and A is an
-R-linear direct summand of it).  By graded Nakayama, homogeneous
+The certificate forms no module product.  The antisymmetric polynomials
+A are a free module over the ring R of polynomials symmetric in each
+coordinate separately (Chevalley's theorem: k[X] is free over R, and A
+is an R-linear direct summand of it).  By graded Nakayama, homogeneous
 antisymmetric polynomials form an R-basis of A iff their images form a
 basis of A / R+ A, of dimension shape_poly(n, d).coeff(g) at grade g
 (Sturmfels, Algorithms in Invariant Theory, ch. 1).  In characteristic
@@ -54,10 +56,11 @@ onto the sign coinvariants Q / span{tau q + q}.  There sum(a_S * Alt(S))
 has the class n! * sum(a_S * pi(NF(x^S))), where pi sorts a standard
 monomial's rows with the sign of the sort: one monomial's normal form
 per occupation set, modulo the relations pi(NF(tau m)) + pi(m) over
-standard m and adjacent transpositions tau.  The certificate checks
-that, grade by grade, there are exactly that many shapes and their
-classes are independent.  The tests keep the module span's direct rank
-and the monomial normal forms as the references for the certificate.
+standard m and adjacent transpositions tau.  The certificate: at each
+grade, exactly that many shapes with independent classes.  The descent
+holds it by construction; verify_completeness checks it afresh on any
+record set.  The tests keep the module span's direct rank and the
+monomial normal forms as the references for the certificate.
 
 express_in_basis computes the decomposition itself by exact elimination
 in the same occupation-set coordinates, reading each shape's set
@@ -367,7 +370,9 @@ def _reaches(rows: Sequence[tuple], floor: tuple[int, ...]) -> bool:
 def enumerate_shapes(
     n: int, d: int, config: EngineConfig = EngineConfig()
 ) -> EnumerationResult:
-    """Enumerate all n!^(d-1) shapes for n particles in odd dimension d."""
+    """Enumerate all n!^(d-1) shapes for n particles in odd dimension d,
+    certified as they are accepted; IncompletenessError if a grade stays
+    short even with the oracle."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if d % 2 == 0:
@@ -413,6 +418,7 @@ def enumerate_shapes(
         unkilled.append(survives)
         return rid
 
+    reducer = _CoinvariantReducer(n)
     for g in range(top - 1, bottom - 1, -1):
         started = time.perf_counter()
         expected = poly.coeff(g)
@@ -421,12 +427,11 @@ def enumerate_shapes(
         if expected == 0:
             _log_grade(g, stats, started)
             continue
-        # one column per occupation set: every candidate is antisymmetric
-        # by construction, so its Slater coefficients determine it
-        columns: dict[tuple, int] = {}
-        matrix = SparseIntMatrix()
-        # accepted shapes at this grade by their Slater coefficients, to
-        # tag rejected candidates that reproduce a known shape
+        # the classes of this grade's shapes in the sign coinvariants; once
+        # there are expected of them they span the grade's whole sign part
+        classes = _NormalFormSpan(reducer)
+        # accepted shapes at this grade by their Slater coefficients: a
+        # candidate that reproduces one is an extra edge, with no span test
         accepted_here: dict[frozenset, int] = {}
         candidates = [
             (rec, entry)
@@ -459,25 +464,20 @@ def enumerate_shapes(
                 stats.survived += 1
                 report.decisions.append((g, rec.id, widx, "survives", None))
                 continue
-            for rows in chi:
-                columns.setdefault(rows, len(columns))
             prim, cont, sign = slater_normalized(chi)
-            if matrix.try_extend({columns[rows]: c for rows, c in chi.items()}):
+            key = frozenset(prim.items())
+            match = accepted_here.get(key)
+            if match is None and stats.found < expected \
+                    and classes.extend(prim):
                 rid = accept(g, prim, Provenance(kind="word", parent=rec.id,
                                                  word=w, content=cont,
                                                  sign=sign))
                 tree.edges[rid] = (rec.id, w)
-                accepted_here[frozenset(prim.items())] = rid
+                accepted_here[key] = rid
                 stats.found += 1
                 report.decisions.append((g, rec.id, widx, "accepted", rid))
-                if stats.found > expected:
-                    raise IncompletenessError(
-                        f"grade {g}: accepted more than the expected "
-                        f"{expected} shapes"
-                    )
             else:
                 stats.in_span += 1
-                match = accepted_here.get(frozenset(prim.items()))
                 if match is not None:
                     tree.extra_edges.append((rec.id, match, w, sign))
                     report.decisions.append((g, rec.id, widx, "extra_edge", match))
@@ -486,13 +486,8 @@ def enumerate_shapes(
         stats.skipped = len(candidates) - consumed
 
         if stats.found < expected:
-            # a set can extend the span here and add nothing modulo the
-            # symmetric generators, so one is taken only when its class is
-            # new, which also makes it new against the shapes themselves
-            classes = _NormalFormSpan(_CoinvariantReducer(n))
-            for rec in records:
-                if rec.grade == g:
-                    classes.extend(rec.slater)
+            # a set is taken only when its class extends the same span the
+            # descent accepted by: a new polynomial may add no new class
             for rows in slater_basis(n, d, g):
                 if classes.extend({rows: 1}):
                     prim, cont, sign = slater_normalized({rows: 1})

@@ -50,12 +50,17 @@ class ArtifactFormatError(ValueError):
     """A document does not follow the shapes.json schema."""
 
 
-def _field(obj, key: str, where: str, required: bool = True):
+def _object(obj, keys: tuple[str, ...], where: str) -> dict:
+    """obj, once it is an object with exactly these keys: the writer writes
+    every key of each object, so a missing or an unknown one is an error."""
     if not isinstance(obj, dict):
         raise ArtifactFormatError(f"{where}: expected an object")
-    if required and key not in obj:
-        raise ArtifactFormatError(f"{where}: missing {key!r}")
-    return obj.get(key)
+    if obj.keys() != set(keys):
+        missing = [k for k in keys if k not in obj]
+        raise ArtifactFormatError(f"{where}: " + (
+            f"missing {missing[0]!r}" if missing else "unknown key "
+            + ", ".join(map(repr, sorted(obj.keys() - set(keys))))))
+    return obj
 
 
 def _list(value, where: str) -> list:
@@ -139,9 +144,9 @@ def _provenance_to_json(pv: Provenance) -> dict:
 
 
 def _provenance_from_json(data, n: int, d: int, where: str) -> Provenance:
-    word = _field(data, "word", where, required=False)
-    rows = _field(data, "rows", where, required=False)
-    parent = _field(data, "parent", where, required=False)
+    data = _object(data, ("kind", "parent", "word", "rows", "content", "sign"),
+                   where)
+    parent, word, rows = data["parent"], data["word"], data["rows"]
     if rows is not None:
         rows = tuple(
             tuple(_int(e, f"{where}.rows") for e in _list(r, f"{where}.rows"))
@@ -152,12 +157,12 @@ def _provenance_from_json(data, n: int, d: int, where: str) -> Provenance:
             raise ArtifactFormatError(f"{where}.rows: expected {n} distinct "
                                       f"rows of {d} nonnegative exponents")
     return Provenance(
-        kind=_field(data, "kind", where),
+        kind=data["kind"],
         parent=None if parent is None else _int(parent, f"{where}.parent"),
         word=None if word is None else _word(word, d, f"{where}.word"),
         rows=rows,
-        content=_int(_field(data, "content", where), f"{where}.content"),
-        sign=_int(_field(data, "sign", where), f"{where}.sign"),
+        content=_int(data["content"], f"{where}.content"),
+        sign=_int(data["sign"], f"{where}.sign"),
     )
 
 
@@ -204,61 +209,63 @@ def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
 def document_from_dict(data) -> ShapeDocument:
     """Parse a document, checking it against the artifact schema: every
     violation raises ArtifactFormatError, so nothing malformed (a wrong
-    type, an exponent vector of the wrong length or with a negative entry,
-    a word naming a coordinate >= d, a generator order other than
-    GENERATOR_ORDER) reaches the polynomial code."""
-    n = _int(_field(data, "n", "document"), "n")
-    d = _int(_field(data, "d", "document"), "d")
-    order = _field(data, "generator_order", "document")
+    type, a missing or unknown key, an exponent vector of the wrong length
+    or with a negative entry, a word naming a coordinate >= d, a generator
+    order other than GENERATOR_ORDER, a child with two tree edges) reaches
+    the polynomial code."""
+    data = _object(data, ("n", "d", "generator_order", "shape_poly",
+                          "shapes", "tree"), "document")
+    n = _int(data["n"], "n")
+    d = _int(data["d"], "d")
+    order = data["generator_order"]
     if order != GENERATOR_ORDER:
         raise ArtifactFormatError(
             f"document: generator order {order!r}, expected "
             f"{GENERATOR_ORDER!r}")
     records = []
-    shapes = _list(_field(data, "shapes", "document"), "shapes")
-    for k, item in enumerate(shapes):
+    for k, item in enumerate(_list(data["shapes"], "shapes")):
         where = f"shapes[{k}]"
+        item = _object(item, ("id", "grade", "entropy", "provenance", "poly"),
+                       where)
         records.append(
             ShapeRecord(
-                id=_int(_field(item, "id", where), f"{where}.id"),
-                grade=_int(_field(item, "grade", where), f"{where}.grade"),
-                slater=_slater_from_json(_field(item, "poly", where), n, d,
-                                         f"{where}.poly"),
+                id=_int(item["id"], f"{where}.id"),
+                grade=_int(item["grade"], f"{where}.grade"),
+                slater=_slater_from_json(item["poly"], n, d, f"{where}.poly"),
                 provenance=_provenance_from_json(
-                    _field(item, "provenance", where), n, d,
-                    f"{where}.provenance"),
-                entropy=_float(_field(item, "entropy", where),
-                               f"{where}.entropy"),
+                    item["provenance"], n, d, f"{where}.provenance"),
+                entropy=_float(item["entropy"], f"{where}.entropy"),
             )
         )
-    tree_data = _field(data, "tree", "document")
+    tree_data = _object(data["tree"], ("root", "edges", "extra_edges"), "tree")
     edges = {}
-    for k, e in enumerate(_list(_field(tree_data, "edges", "tree"),
-                                "tree.edges")):
+    for k, e in enumerate(_list(tree_data["edges"], "tree.edges")):
         where = f"tree.edges[{k}]"
-        child = _int(_field(e, "child", where), f"{where}.child")
-        edges[child] = (_int(_field(e, "parent", where), f"{where}.parent"),
-                        _word(_field(e, "word", where), d, f"{where}.word"))
+        e = _object(e, ("child", "parent", "word"), where)
+        child = _int(e["child"], f"{where}.child")
+        if child in edges:
+            raise ArtifactFormatError(
+                f"{where}: child {child} already has a tree edge")
+        edges[child] = (_int(e["parent"], f"{where}.parent"),
+                        _word(e["word"], d, f"{where}.word"))
     extra = []
-    for k, e in enumerate(_list(_field(tree_data, "extra_edges", "tree"),
-                                "tree.extra_edges")):
+    for k, e in enumerate(_list(tree_data["extra_edges"], "tree.extra_edges")):
         where = f"tree.extra_edges[{k}]"
+        e = _object(e, ("from", "to", "word", "sign"), where)
         extra.append((
-            _int(_field(e, "from", where), f"{where}.from"),
-            _int(_field(e, "to", where), f"{where}.to"),
-            _word(_field(e, "word", where), d, f"{where}.word"),
-            _int(_field(e, "sign", where), f"{where}.sign"),
+            _int(e["from"], f"{where}.from"),
+            _int(e["to"], f"{where}.to"),
+            _word(e["word"], d, f"{where}.word"),
+            _int(e["sign"], f"{where}.sign"),
         ))
     return ShapeDocument(
         n=n,
         d=d,
         shape_poly=[_int(c, "shape_poly")
-                    for c in _list(_field(data, "shape_poly", "document"),
-                                   "shape_poly")],
+                    for c in _list(data["shape_poly"], "shape_poly")],
         records=records,
-        tree=BranchingTree(
-            root=_int(_field(tree_data, "root", "tree"), "tree.root"),
-            edges=edges, extra_edges=extra),
+        tree=BranchingTree(root=_int(tree_data["root"], "tree.root"),
+                           edges=edges, extra_edges=extra),
     )
 
 

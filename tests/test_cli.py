@@ -220,17 +220,26 @@ def test_gen_incomplete_enumeration_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_gen_completeness_check_exit_code(tmp_path, capsys, monkeypatch):
-    def boom(n, d, records):
-        raise IncompletenessError("rank 2 != 3 at grade 1")
-    monkeypatch.setattr("shapeforge.cli.verify_completeness", boom)
+    # the descent certifies as it accepts: with every class refused, no
+    # grade below the root fills even with the oracle, and nothing is written
+    monkeypatch.setattr("shapeforge.engine._NormalFormSpan.extend",
+                        lambda self, coeffs: False)
     rc, _, err = run(capsys, "gen", "-N", "2", "-d", "3",
                      "--out", str(tmp_path))
     assert rc == 3
-    assert "completeness check failed" in err
-    assert not (tmp_path / "shapes.json").exists()
-    rc, _, _ = run(capsys, "gen", "-N", "2", "-d", "3",
-                   "--out", str(tmp_path), "--no-verify")
-    assert rc == 0
+    assert "enumeration incomplete: grade 1: 0 of 3 shapes" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_no_verify_is_a_no_op(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(capsys, "gen", "-N", "3", "-d", "3", "--out", str(a))[0] == 0
+    assert run(capsys, "gen", "-N", "3", "-d", "3", "--no-verify",
+               "--out", str(b))[0] == 0
+    for name in ("shapes.json", "tree.dot"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert main(["gen", "--help"]) == 0
+    assert "--no-verify" not in capsys.readouterr().out
 
 
 # --- verify on damaged artifacts -------------------------------------------
@@ -571,6 +580,58 @@ def test_verify_replays_oracle_rows_in_any_order(tmp_path, capsys,
                      damaged(tmp_path, artifacts_33["oracle"], mutate))
     assert rc == 0
     assert "verified 36 shapes for n=3 d=3" in out
+
+
+def _append_copy(*path):
+    """A mutation that appends a copy of the first item of a list."""
+    def mutate(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        node.append(dict(node[0]))
+    return mutate
+
+
+def test_verify_rejects_a_child_with_two_tree_edges(tmp_path, capsys,
+                                                    artifacts_33):
+    rc, _, err = run(capsys, "verify", damaged(
+        tmp_path, artifacts_33["extra"], _append_copy("tree", "edges")))
+    assert rc == 2
+    assert "already has a tree edge" in err
+
+
+def test_verify_rejects_an_extra_edge_listed_twice(tmp_path, capsys,
+                                                    artifacts_33):
+    rc, _, err = run(capsys, "verify", damaged(
+        tmp_path, artifacts_33["extra"], _append_copy("tree", "extra_edges")))
+    assert rc == 5
+    assert "listed twice" in err
+
+
+@pytest.mark.parametrize("path", [
+    (), ("shapes", 0), ("shapes", 1, "provenance"), ("tree",),
+    ("tree", "edges", 0), ("tree", "extra_edges", 0),
+], ids=["document", "shape", "provenance", "tree", "edge", "extra-edge"])
+def test_verify_rejects_unknown_keys(tmp_path, capsys, artifacts_33, path):
+    def mutate(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        node["unknown"] = 0
+    rc, _, err = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33["extra"], mutate))
+    assert rc == 2
+    assert "unknown key 'unknown'" in err
+
+
+def test_verify_rejects_a_missing_null_key(tmp_path, capsys, artifacts_33):
+    # gen writes "rows": null on a word record; leaving it out is not the same
+    def mutate(doc):
+        del _first_provenance(doc, "word")["rows"]
+    rc, _, err = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33["extra"], mutate))
+    assert rc == 2
+    assert "missing 'rows'" in err
 
 
 # --- count ------------------------------------------------------------------

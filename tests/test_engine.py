@@ -1,6 +1,7 @@
 """Enumeration engine tests: vocabulary, descent, completeness, and
 exact decomposition over the symmetric generators."""
 
+import hashlib
 import itertools
 import logging
 import math
@@ -415,6 +416,67 @@ def test_exhaustive_candidate_totals_are_pinned(n, d, totals, pruned):
                  for k in ("tried", "zero", "survived", "in_span")) == totals
     assert sum(s.pruned for s in stats) == pruned
     assert all(s.pruned <= s.zero for s in stats)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("n,d,config,digests", [
+    (3, 3, EngineConfig(exhaustive=True),
+     ("d42463c1605003f2", "4e0ecd5b5bdbccdf", "bc727b82b0385948",
+      "c9ad6b86ab2613b5")),
+    (2, 5, EngineConfig(exhaustive=True),
+     ("7d1461ac2df28603", "2039324275401792", "c4d54a8523e14d4a",
+      "ca61ca4963ed93b5")),
+    (2, 7, EngineConfig(),
+     ("87cb099c6fbcac8c", "482d58834fc8b056", "762a636a1b5a6454",
+      "4162f81bad22327d")),
+    (3, 3, EngineConfig(max_letters=1),
+     ("a942c5cf780cd2a5", "ed325b827b29b7ec", "47873a98b0948cc2",
+      "c8c0f4d8a18b7b24")),
+], ids=["3-3-exhaustive", "2-5-exhaustive", "2-7", "3-3-one-letter"])
+def test_descent_results_are_pinned(n, d, config, digests):
+    # records, tree, every decision and every per-grade counter, as they
+    # were when the descent accepted by the span of Slater coefficients:
+    # accepting by class in the sign coinvariants changes none of them
+    result = enumerate_shapes(n, d, config)
+    assert tuple(map(_digest, (
+        result.records, result.tree, result.report.decisions,
+        sorted(result.report.per_grade.items())))) == digests
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (2, 7)])
+def test_span_is_tested_only_below_the_count_and_on_new_shapes(
+        monkeypatch, n, d):
+    poly = shape_poly(n, d, Statistics.FERMION)
+    real = _NormalFormSpan.extend
+    classes: dict[_NormalFormSpan, int] = {}
+    calls = []
+
+    def extend(self, coeffs):
+        grade = sum(map(sum, next(iter(coeffs))))
+        assert classes.get(self, 0) < poly.coeff(grade), "grade is full"
+        calls.append(grade)
+        new = real(self, coeffs)
+        classes[self] = classes.get(self, 0) + new
+        return new
+
+    monkeypatch.setattr(_NormalFormSpan, "extend", extend)
+    result = enumerate_shapes(n, d, EngineConfig(exhaustive=True))
+    # one test per accepted shape and per rejection before the grade
+    # filled; none for an extra edge or once the grade is full
+    found: dict[int, int] = {}
+    tested = 0
+    for g, _, _, tag, _ in result.report.decisions:
+        if tag == "accepted":
+            found[g] = found.get(g, 0) + 1
+            tested += 1
+        elif tag == "in_span" and found.get(g, 0) < poly.coeff(g):
+            tested += 1
+    assert len(calls) == tested
+    assert result.tree.extra_edges    # each one a candidate left untested
+    assert not any(s.fallback for s in result.report.per_grade.values())
 
 
 def test_tree_edges_descend_by_word_net():
