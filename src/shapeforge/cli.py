@@ -267,8 +267,8 @@ def _check_records(doc: ShapeDocument) -> str | None:
 
 def _check_tree(doc: ShapeDocument) -> str | None:
     """Tree edges are exactly the word records' (each already matched to
-    its provenance), and every extra edge is listed once and replays with
-    its sign, in occupation-set coordinates like the records."""
+    its provenance), and the extra edges come in gen's order and replay
+    with their signs, in occupation-set coordinates like the records."""
     word_children = {rec.id for rec in doc.records
                      if rec.provenance.kind == "word"}
     if set(doc.tree.edges) != word_children:
@@ -276,11 +276,15 @@ def _check_tree(doc: ShapeDocument) -> str | None:
     if doc.tree.root in doc.tree.edges:
         return "root has an incoming tree edge"
     ids = {rec.id for rec in doc.records}
-    if len(set(doc.tree.extra_edges)) != len(doc.tree.extra_edges):
-        return "an extra edge is listed twice"
+    previous = ()
     for src, dst, word, sign in doc.tree.extra_edges:
         if src not in ids or dst not in ids:
             return f"extra edge ({src}, {dst}) references unknown ids"
+        # strictly in the descent's order: grade down, parent, vocabulary
+        key = (-doc.records[dst].grade, src, len(word.word.letters), word)
+        if key <= previous:
+            return f"extra edge ({src}, {dst}) is out of order or listed twice"
+        previous = key
         raw = apply_symword_slater(word, doc.records[src].slater)
         if not raw:
             return f"extra edge ({src}, {dst}): replay gives zero"

@@ -228,7 +228,7 @@ class ShapeRecord(NamedTuple):
     id: int
     grade: int
     # {rows ascending: coefficient}: primitive, positive leading coefficient;
-    # None when a loaded record is not antisymmetric (see checked_slater)
+    # None when a loaded term list is no ordered expansion (checked_slater)
     slater: dict[tuple, int] | None
     provenance: Provenance
     entropy: float
@@ -246,7 +246,7 @@ class ShapeRecord(NamedTuple):
         each coordinate; otherwise ValueError."""
         if self.slater is None:
             raise ValueError(f"record {self.id}: polynomial is not "
-                             f"antisymmetric")
+                             f"antisymmetric or its terms are out of order")
         if len({_multidegree(rows) for rows in self.slater}) != 1:
             raise ValueError(f"record {self.id}: polynomial is not "
                              f"homogeneous in each coordinate")

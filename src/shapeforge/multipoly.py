@@ -15,10 +15,10 @@ one per set of n distinct d-tuples, so it is also held as its Slater
 coefficients {rows ascending: coefficient}.  The converter pair
 slater_coefficients / slater_to_poly is the one way this package
 expands, checks or normalizes an antisymmetric polynomial:
-antisymmetrize and MPoly.is_antisymmetric go through it, and
-slater_normalized and slater_times_elementary (the product with an
-elementary symmetric generator e_j, from which the decomposition builds
-its products) work on the coefficients.
+antisymmetrize and MPoly.is_antisymmetric go through it, the shapes.json
+loader checks term lists against slater_to_poly's table, and
+slater_normalized and slater_times_elementary (the product with e_j, from
+which the decomposition builds its products) work on the coefficients.
 """
 
 from __future__ import annotations

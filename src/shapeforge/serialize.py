@@ -1,16 +1,17 @@
 """Shape-set serialization: JSON documents, DOT trees, text reports.
 
-Polynomial coefficients and contents are written as decimal strings so
-consumers with fixed-width integers cannot silently truncate them; ids,
-grades, exponents and signs stay JSON integers.  Serialization is
-deterministic: serialize(parse(serialize(x))) is byte-identical to
-serialize(x).
+The writer defines shapes.json.  Coefficients and contents are decimal
+strings, so consumers with fixed-width integers cannot silently truncate
+them; ids, grades, exponents and signs are JSON integers.  A term list is
+the n!-fold expansion of a record's Slater coefficients.  The loader takes
+only the writer's form, up to JSON whitespace, so serialize(parse(text))
+== text; duplicate JSON keys are out of scope (json keeps the last value).
 """
 
 from __future__ import annotations
 
 import json
-import operator
+import math
 from typing import Iterator, NamedTuple, TextIO
 
 from .engine import (
@@ -20,11 +21,12 @@ from .engine import (
     RunReport,
     ShapeRecord,
 )
-from .multipoly import MPoly, slater_coefficients
+from .multipoly import MPoly, _alternation_table, _sort_with_sign
 from .qseries import Statistics, shape_poly
 from .shiftops import SymWord, word_from_str, word_to_str
 
 GENERATOR_ORDER = "lex, coordinate-major"
+_INTS = {int}
 
 
 class ShapeDocument(NamedTuple):
@@ -81,12 +83,9 @@ def _int(value, where: str) -> int:
 
 
 def _float(value, where: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ArtifactFormatError(f"{where}: expected a number, got {value!r}")
+    if type(value) is float:
+        return value
+    raise ArtifactFormatError(f"{where}: expected a float, got {value!r}")
 
 
 def _word(text, d: int, where: str) -> SymWord:
@@ -110,26 +109,50 @@ def _poly_to_json(rec: ShapeRecord) -> list[dict]:
 
 
 def _slater_from_json(items, n: int, d: int, where: str) -> dict | None:
+    """The Slater coefficients a_S of a term list in the writer's form: per
+    set S of rows, n! terms, each a_S times the sign of sorting its rows to
+    S, exponent vectors strictly descending.  A malformed term raises
+    ArtifactFormatError; terms that are not that expansion give None."""
     items = _list(items, where)
-    try:
-        terms = {tuple(map(operator.index, item["exp"])): int(item["coef"])
-                 for item in items}
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ArtifactFormatError(
-            f"{where}: every term needs an integer list 'exp' and an "
-            f"integer 'coef'") from None
-    if terms and set(map(len, terms)) != {n * d}:
-        raise ArtifactFormatError(
-            f"{where}: exponent vectors must have n*d = {n * d} entries")
-    if terms and n * d and min(map(min, terms)) < 0:
-        raise ArtifactFormatError(f"{where}: negative exponent")
-    if not all(terms.values()):
-        raise ArtifactFormatError(f"{where}: zero coefficient")
-    p = MPoly(n, d, terms)
-    try:   # the antisymmetry round trip, once; the monomials are dropped
-        return slater_coefficients(p)
-    except ValueError:   # ShapeRecord.checked_slater reports it
-        return None
+    if n < 1 or d < 1:
+        return None    # _check_counts rejects the document first
+    out: dict[tuple, int] = {}
+    due: dict[tuple, str] = {}    # the unread terms of the sets read so far
+    expanded = True
+    previous = [math.inf]    # above every exponent vector
+    for k, item in enumerate(items):
+        try:   # the common case: a term that an earlier one's set announced
+            exp, coef = item["exp"], item["coef"]
+            want = due.pop(tuple(exp), None)
+        except (KeyError, TypeError):
+            want = None
+        if (want is None or want != coef or len(item) != 2
+                or not _INTS.issuperset(map(type, exp))):
+            _object(item, ("exp", "coef"), f"{where}[{k}]")  # binds both
+            value = _int(coef, f"{where}[{k}].coef")
+            if (type(exp) is not list or len(exp) != n * d
+                    or not _INTS.issuperset(map(type, exp)) or min(exp) < 0
+                    or not value or str(value) != coef):
+                raise ArtifactFormatError(
+                    f"{where}[{k}]: expected {n * d} nonnegative integers "
+                    f"'exp' and a nonzero decimal 'coef'")
+            rows = [tuple(exp[a::n]) for a in range(n)]
+            sign = _sort_with_sign(rows)
+            rows = tuple(rows)
+            # a wrong coefficient, two equal rows, a repeated term, or too
+            # few terms for a set's n! (21! is past any list's length)
+            if (want is not None or not sign or rows in out
+                    or math.factorial(min(n, 21)) > len(items)):
+                expanded = False
+            else:
+                out[rows] = a = sign * value
+                flat = tuple(e for column in zip(*rows) for e in column)
+                for gather, s in _alternation_table(n, d):
+                    due[gather(flat)] = str(s * a)
+                del due[tuple(exp)]
+        expanded &= exp < previous
+        previous = exp
+    return out if expanded and not due else None
 
 
 def _provenance_to_json(pv: Provenance) -> dict:
@@ -157,13 +180,12 @@ def _provenance_from_json(data, n: int, d: int, where: str) -> Provenance:
             raise ArtifactFormatError(f"{where}.rows: expected {n} distinct "
                                       f"rows of {d} nonnegative exponents")
     return Provenance(
-        kind=data["kind"],
-        parent=None if parent is None else _int(parent, f"{where}.parent"),
-        word=None if word is None else _word(word, d, f"{where}.word"),
-        rows=rows,
-        content=_int(data["content"], f"{where}.content"),
-        sign=_int(data["sign"], f"{where}.sign"),
-    )
+        data["kind"],
+        None if parent is None else _int(parent, f"{where}.parent"),
+        None if word is None else _word(word, d, f"{where}.word"),
+        rows,
+        _int(data["content"], f"{where}.content"),
+        _int(data["sign"], f"{where}.sign"))
 
 
 def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
@@ -209,64 +231,52 @@ def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
 def document_from_dict(data) -> ShapeDocument:
     """Parse a document, checking it against the artifact schema: every
     violation raises ArtifactFormatError, so nothing malformed (a wrong
-    type, a missing or unknown key, an exponent vector of the wrong length
-    or with a negative entry, a word naming a coordinate >= d, a generator
-    order other than GENERATOR_ORDER, a child with two tree edges) reaches
-    the polynomial code."""
+    type, a missing or unknown key, a bad term, a word naming a coordinate
+    >= d) reaches the polynomial code.  Then the writer's rendering of the
+    document, term lists passed through, must equal data: one spelling of
+    each value, one generator order, one order of tree edges."""
     data = _object(data, ("n", "d", "generator_order", "shape_poly",
                           "shapes", "tree"), "document")
     n = _int(data["n"], "n")
     d = _int(data["d"], "d")
-    order = data["generator_order"]
-    if order != GENERATOR_ORDER:
-        raise ArtifactFormatError(
-            f"document: generator order {order!r}, expected "
-            f"{GENERATOR_ORDER!r}")
     records = []
     for k, item in enumerate(_list(data["shapes"], "shapes")):
         where = f"shapes[{k}]"
         item = _object(item, ("id", "grade", "entropy", "provenance", "poly"),
                        where)
-        records.append(
-            ShapeRecord(
-                id=_int(item["id"], f"{where}.id"),
-                grade=_int(item["grade"], f"{where}.grade"),
-                slater=_slater_from_json(item["poly"], n, d, f"{where}.poly"),
-                provenance=_provenance_from_json(
-                    item["provenance"], n, d, f"{where}.provenance"),
-                entropy=_float(item["entropy"], f"{where}.entropy"),
-            )
-        )
+        records.append(ShapeRecord(
+            _int(item["id"], f"{where}.id"),
+            _int(item["grade"], f"{where}.grade"),
+            _slater_from_json(item["poly"], n, d, f"{where}.poly"),
+            _provenance_from_json(item["provenance"], n, d,
+                                  f"{where}.provenance"),
+            _float(item["entropy"], f"{where}.entropy")))
     tree_data = _object(data["tree"], ("root", "edges", "extra_edges"), "tree")
     edges = {}
     for k, e in enumerate(_list(tree_data["edges"], "tree.edges")):
         where = f"tree.edges[{k}]"
         e = _object(e, ("child", "parent", "word"), where)
-        child = _int(e["child"], f"{where}.child")
-        if child in edges:
-            raise ArtifactFormatError(
-                f"{where}: child {child} already has a tree edge")
-        edges[child] = (_int(e["parent"], f"{where}.parent"),
-                        _word(e["word"], d, f"{where}.word"))
+        edges[_int(e["child"], f"{where}.child")] = (
+            _int(e["parent"], f"{where}.parent"),
+            _word(e["word"], d, f"{where}.word"))
     extra = []
     for k, e in enumerate(_list(tree_data["extra_edges"], "tree.extra_edges")):
         where = f"tree.extra_edges[{k}]"
         e = _object(e, ("from", "to", "word", "sign"), where)
-        extra.append((
-            _int(e["from"], f"{where}.from"),
-            _int(e["to"], f"{where}.to"),
-            _word(e["word"], d, f"{where}.word"),
-            _int(e["sign"], f"{where}.sign"),
-        ))
-    return ShapeDocument(
-        n=n,
-        d=d,
-        shape_poly=[_int(c, "shape_poly")
-                    for c in _list(data["shape_poly"], "shape_poly")],
-        records=records,
-        tree=BranchingTree(root=_int(tree_data["root"], "tree.root"),
-                           edges=edges, extra_edges=extra),
-    )
+        extra.append((_int(e["from"], f"{where}.from"),
+                      _int(e["to"], f"{where}.to"),
+                      _word(e["word"], d, f"{where}.word"),
+                      _int(e["sign"], f"{where}.sign")))
+    coeffs = _list(data["shape_poly"], "shape_poly")
+    doc = ShapeDocument(n, d, [_int(c, "shape_poly") for c in coeffs],
+                        records, BranchingTree(
+                            _int(tree_data["root"], "tree.root"), edges, extra))
+    polys = (item["poly"] for item in data["shapes"])
+    rendered = document_to_dict(doc, poly=lambda rec: next(polys))
+    if rendered != data:
+        key = next(k for k in rendered if rendered[k] != data[k])
+        raise ArtifactFormatError(f"{key}: not in the form the writer gives it")
+    return doc
 
 
 # json.dumps falls back to its pure-Python encoder under indent, which is

@@ -338,8 +338,8 @@ def test_verify_rejects_record_spanning_two_multidegrees(tmp_path, capsys,
 
     def mutate(doc):
         shape = next(s for s in doc["shapes"] if s["grade"] == 2)
-        shape["poly"] = [{"exp": list(mono), "coef": str(c)}
-                         for mono, c in mixed.terms.items()]
+        shape["poly"] = [{"exp": list(mono), "coef": str(mixed.terms[mono])}
+                         for mono in sorted(mixed.terms, reverse=True)]
     rc, _, err = run(capsys, "verify",
                      damaged(tmp_path, artifacts_33["extra"], mutate))
     assert rc == 5
@@ -363,13 +363,47 @@ def test_verify_rejects_word_record_with_rows(tmp_path, capsys, artifacts_33):
     assert "word provenance has rows" in err
 
 
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _set(path, value):
     """A mutation that replaces the item at a key path with value."""
     def mutate(doc):
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
+        _at(doc, path[:-1])[path[-1]] = value
+    return mutate
+
+
+def _respell(path, spell):
+    """A mutation that writes the value at a key path another way."""
+    def mutate(doc):
+        node = _at(doc, path[:-1])
+        node[path[-1]] = spell(node[path[-1]])
+    return mutate
+
+
+def _duplicate(path, i=0):
+    """A mutation that inserts a copy of item i of a list before it."""
+    def mutate(doc):
+        node = _at(doc, path)
+        node.insert(i, json.loads(json.dumps(node[i])))
+    return mutate
+
+
+def _swap(path, i=0):
+    """A mutation that swaps items i and i + 1 of a list."""
+    def mutate(doc):
+        node = _at(doc, path)
+        node[i], node[i + 1] = node[i + 1], node[i]
+    return mutate
+
+
+def _add_key(path):
+    """A mutation that adds a key the writer never writes to an object."""
+    def mutate(doc):
+        _at(doc, path)["unknown"] = 0
     return mutate
 
 
@@ -413,8 +447,9 @@ def test_verify_rejects_malformed_artifact(tmp_path, capsys, artifact_text,
 
 def test_verify_random_edits_never_traceback(tmp_path, capsys, artifact_text):
     # seeded edits anywhere in a valid artifact: each one is either
-    # rejected with a documented exit code or harmless, that is, the
-    # document it loads to is the original, byte for byte
+    # rejected with a documented exit code or harmless, that is, it left
+    # the JSON value as it was and the document loads to the original,
+    # byte for byte
     base = json.loads(artifact_text)
     slots = []
 
@@ -429,13 +464,27 @@ def test_verify_random_edits_never_traceback(tmp_path, capsys, artifact_text):
     values = [None, 5, -1, 0, "x", "0", [], {}, True, 1.5, "x[-1]", 10**6,
               10**400, float("inf")]
     rng = random.Random(7)
-    for _ in range(300):
-        path = rng.choice(slots)
-        edited = damaged(tmp_path, artifact_text,
-                         _set(path, rng.choice(values)))
+    edits = [(path, _set(path, rng.choice(values)))
+             for path in (rng.choice(slots) for _ in range(300))]
+    # structural edits: duplicate a list element, swap two neighbours, or
+    # add a key the writer does not write
+    lists = [path for path in [()] + slots if isinstance(_at(base, path), list)
+             and _at(base, path)]
+    dicts = [path for path in [()] + slots if isinstance(_at(base, path), dict)]
+    for _ in range(100):
+        path = rng.choice(lists)
+        i = rng.randrange(len(_at(base, path)))
+        edits.append((path + ("duplicate", i), _duplicate(path, i)))
+        if i + 1 < len(_at(base, path)):
+            edits.append((path + ("swap", i), _swap(path, i)))
+        path = rng.choice(dicts)
+        edits.append((path + ("unknown",), _add_key(path)))
+    for path, mutate in edits:
+        edited = damaged(tmp_path, artifact_text, mutate)
         rc, _, _ = run(capsys, "verify", edited)
         assert rc in (0, 2, 5), path
         if rc == 0:
+            assert Path(edited).read_text() == json.dumps(base), path
             with open(edited, encoding="utf-8") as fh:
                 reloaded = dumps_document(loads_document(fh))
             assert reloaded == artifact_text, path
@@ -585,9 +634,7 @@ def test_verify_replays_oracle_rows_in_any_order(tmp_path, capsys,
 def _append_copy(*path):
     """A mutation that appends a copy of the first item of a list."""
     def mutate(doc):
-        node = doc
-        for key in path:
-            node = node[key]
+        node = _at(doc, path)
         node.append(dict(node[0]))
     return mutate
 
@@ -597,7 +644,7 @@ def test_verify_rejects_a_child_with_two_tree_edges(tmp_path, capsys,
     rc, _, err = run(capsys, "verify", damaged(
         tmp_path, artifacts_33["extra"], _append_copy("tree", "edges")))
     assert rc == 2
-    assert "already has a tree edge" in err
+    assert "tree: not in the form the writer gives it" in err
 
 
 def test_verify_rejects_an_extra_edge_listed_twice(tmp_path, capsys,
@@ -632,6 +679,56 @@ def test_verify_rejects_a_missing_null_key(tmp_path, capsys, artifacts_33):
                      damaged(tmp_path, artifacts_33["extra"], mutate))
     assert rc == 2
     assert "missing 'rows'" in err
+
+
+def _exponent_true(doc):
+    exp = doc["shapes"][0]["poly"][0]["exp"]
+    exp[exp.index(1)] = True
+
+
+# forms gen never writes, each a (3,3) artifact edit: a term list that is
+# not the ordered expansion of its Slater coefficients, or extra edges out
+# of the descent's order, fail verification (exit 5); a second spelling, a
+# wrong type or tree edges out of order do not load (exit 2)
+@pytest.mark.parametrize("mutate,code", [
+    (_duplicate(("shapes", 1, "poly")), 5),
+    (_swap(("shapes", 1, "poly")), 5),
+    (_swap(("tree", "extra_edges")), 5),
+    (_swap(("tree", "edges")), 2),
+    (_respell(("shapes", 1, "poly", 0, "coef"), lambda c: "+" + c), 2),
+    (_respell(("shapes", 1, "poly", 0, "coef"), lambda c: " " + c), 2),
+    (_respell(("shapes", 1, "provenance", "content"), lambda c: "0" + c), 2),
+    (_respell(("shape_poly", 3), lambda c: "0" + c), 2),
+    (_respell(("shapes", 1, "id"), str), 2),
+    (_respell(("shapes", 1, "grade"), str), 2),
+    (_respell(("shapes", 1, "provenance", "sign"), str), 2),
+    (_respell(("tree", "extra_edges", 0, "sign"), str), 2),
+    (_respell(("n",), str), 2),
+    (_respell(("shapes", 0, "entropy"), int), 2),
+    (_exponent_true, 2),
+    (_add_key(("shapes", 0, "poly", 0)), 2),
+], ids=["term-twice", "terms-swapped", "extra-edges-swapped",
+        "tree-edges-swapped", "coef-plus", "coef-space", "content-01",
+        "shape-poly-03", "id-string", "grade-string", "sign-string",
+        "extra-edge-sign-string", "n-string", "entropy-int", "exp-true",
+        "term-key"])
+def test_verify_accepts_only_the_writers_form(tmp_path, capsys, artifacts_33,
+                                              mutate, code):
+    rc, _, err = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33["extra"], mutate))
+    assert rc == code, err
+    assert ("verify failed" if code == 5 else "cannot load") in err
+
+
+@pytest.mark.parametrize("layout", [{"separators": (",", ":")},
+                                    {"indent": 7}], ids=["minified", "indent-7"])
+def test_verify_accepts_any_json_whitespace(tmp_path, capsys, artifacts_33,
+                                            layout):
+    path = tmp_path / "shapes.json"
+    path.write_text(json.dumps(json.loads(artifacts_33["extra"]), **layout))
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0
+    assert "verified 36 shapes for n=3 d=3" in out
 
 
 # --- count ------------------------------------------------------------------
