@@ -20,8 +20,8 @@ one-body operator and acts on one row of a set at a time
 (shiftops.apply_symword_slater), so antisymmetry holds by construction
 and is never re-checked; the class of a candidate comes from its set
 coefficients, and so do content and sign.  A record keeps only its
-set coefficients (ShapeRecord.slater); a reader that needs monomials
-expands one record at a time (ShapeRecord.poly) and lets it go.
+set coefficients (ShapeRecord.slater), and shapes.json is written from them;
+a reader that needs monomials expands a record (ShapeRecord.poly) at a time.
 
 Exact rules settle work in advance, so every decision is the one the
 full computation would make.  A candidate equal to a shape accepted at

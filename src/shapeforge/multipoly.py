@@ -12,13 +12,12 @@ has an empty term map; zero coefficients are never stored.
 
 An antisymmetric polynomial is a sum of Slater determinants Alt(rows),
 one per set of n distinct d-tuples, so it is also held as its Slater
-coefficients {rows ascending: coefficient}.  The converter pair
-slater_coefficients / slater_to_poly is the one way this package
-expands, checks or normalizes an antisymmetric polynomial:
-antisymmetrize and MPoly.is_antisymmetric go through it, the shapes.json
-loader checks term lists against slater_to_poly's table, and
-slater_normalized and slater_times_elementary (the product with e_j, from
-which the decomposition builds its products) work on the coefficients.
+coefficients {rows ascending: coefficient}.  antisymmetrize and
+MPoly.is_antisymmetric go through the converter pair slater_coefficients /
+slater_to_poly; slater_normalized and slater_times_elementary (the product
+with e_j, from which the decomposition builds its products) work on the
+coefficients; _alternation_table is the one expansion table, shared by
+slater_to_poly and the shapes.json writer and loader.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .engine import (
     RunReport,
     ShapeRecord,
 )
-from .multipoly import MPoly, _alternation_table, _sort_with_sign
+from .multipoly import _alternation_table, _sort_with_sign
 from .qseries import Statistics, shape_poly
 from .shiftops import SymWord, word_from_str, word_to_str
 
@@ -100,12 +100,6 @@ def _word(text, d: int, where: str) -> SymWord:
             raise ArtifactFormatError(
                 f"{where}: coordinate {letter.coordinate} outside d={d}")
     return SymWord(w)
-
-
-def _poly_to_json(rec: ShapeRecord) -> list[dict]:
-    terms = rec.poly.terms
-    return [{"exp": list(mono), "coef": str(terms[mono])}
-            for mono in sorted(terms, reverse=True)]
 
 
 def _slater_from_json(items, n: int, d: int, where: str) -> dict | None:
@@ -188,7 +182,7 @@ def _provenance_from_json(data, n: int, d: int, where: str) -> Provenance:
         _int(data["sign"], f"{where}.sign"))
 
 
-def document_to_dict(doc: ShapeDocument, poly=_poly_to_json) -> dict:
+def document_to_dict(doc: ShapeDocument, poly) -> dict:
     """The JSON object of a document; poly renders each shape's record."""
     return {
         "n": doc.n,
@@ -289,33 +283,40 @@ _TERM_MID = '\n          ],\n          "coef": "'
 _TERM_TAIL = '"\n        }'
 
 
-def _poly_text(p: MPoly) -> str:
-    """json.dumps(_poly_to_json(p), indent=2) at a shape's depth."""
-    if not p.terms:
-        return "[]"
-    terms = p.terms
+def _poly_text(slater: dict | None, n: int, d: int) -> str:
+    """The json.dumps text, indent=2, of a record's term list at a shape's
+    depth: its Slater coefficients expanded by the loader's own table."""
+    if not slater:
+        raise ValueError("a shape with no polynomial cannot be written")
+    terms = []
+    for rows, a in slater.items():
+        flat = tuple(e for column in zip(*rows) for e in column)
+        texts, signed = tuple(map(str, flat)), {1: str(a), -1: str(-a)}
+        terms += [(gather(flat), gather(texts), signed[s])
+                  for gather, s in _alternation_table(n, d)]
+    terms.sort(reverse=True)    # exponents are distinct: texts never compared
     return "[\n        " + ",\n        ".join(
-        _TERM_HEAD + _EXP_SEP.join(map(str, mono)) + _TERM_MID
-        + str(terms[mono]) + _TERM_TAIL
-        for mono in sorted(terms, reverse=True)
+        _TERM_HEAD + _EXP_SEP.join(texts) + _TERM_MID + coef + _TERM_TAIL
+        for _, texts, coef in terms
     ) + "\n      ]"
 
 
 def document_pieces(doc: ShapeDocument) -> Iterator[str]:
     """The text of dumps_document in pieces: one shape's term list at a
-    time, expanded from its record, so a writer never holds the document."""
+    time, rendered from its record, so a writer never holds the document."""
     data = document_to_dict(doc, poly=lambda rec: _POLY_SLOT)
     pieces = json.dumps(data, indent=2).split(f'"{_POLY_SLOT}"')
     yield pieces[0]
     for rec, piece in zip(doc.records, pieces[1:]):
-        yield _poly_text(rec.poly)
+        yield _poly_text(rec.slater, doc.n, doc.d)
         yield piece
     yield "\n"
 
 
 def dumps_document(doc: ShapeDocument) -> str:
-    """json.dumps(document_to_dict(doc), indent=2) plus a newline, byte for
-    byte, with the polynomials rendered by _poly_text."""
+    """json.dumps(document_to_dict(doc, poly), indent=2) plus a newline,
+    where poly lists a record's terms {"exp", "coef"} by descending exp; a
+    record whose slater is {} or None cannot be written (ValueError)."""
     return "".join(document_pieces(doc))
 
 

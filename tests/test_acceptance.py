@@ -32,7 +32,11 @@ from shapeforge.multipoly import (
     source_shape,
     vandermonde,
 )
-from shapeforge.serialize import document_from_result, document_to_dot
+from shapeforge.serialize import (
+    document_from_result,
+    document_pieces,
+    document_to_dot,
+)
 from shapeforge.qseries import (
     Statistics,
     degree_D,
@@ -194,7 +198,8 @@ def test_criterion_7_shift_operator_goldens(capsys):
 def test_criterion_8_scale_up(timed43, capsys):
     result, elapsed = timed43
     with criterion(8, "576 shapes match the recursion histogram, are "
-                      "certified complete and match their pinned digests",
+                      "certified complete and match their pinned digests, "
+                      "shapes.json included",
                    capsys, 1800.0) as info:
         info["elapsed"] = elapsed
         assert len(result.records) == 576 == math.factorial(4) ** 2
@@ -211,9 +216,17 @@ def test_criterion_8_scale_up(timed43, capsys):
         polys = "\n".join(rec.poly.canonical_str() for rec in result.records)
         assert hashlib.sha256((polys + "\n").encode()).hexdigest() == (
             "6888f3f0fa0f9149d100ce9adda270ba0a4400ef5046a54df65ede94001b12f0")
-        dot = document_to_dot(document_from_result(result))
+        doc = document_from_result(result)
+        dot = document_to_dot(doc)
         assert hashlib.sha256(dot.encode()).hexdigest() == (
             "2b4b6cfde23e77bec15fe27d30b5c35c1c5a9a4112f46738738ee75633baca06")
+        # the shapes.json bytes that gen -N 4 -d 3 writes, hashed as they
+        # stream, so the 641 MB text is never held
+        artifact = hashlib.sha256()
+        for piece in document_pieces(doc):
+            artifact.update(piece.encode())
+        assert artifact.hexdigest() == (
+            "84dfd7565009d32eac8807084152ddb8541e08034092416d1afb0aaa41455c4d")
 
 
 def test_criterion_9_property_suites(timed33, timed43, capsys):

@@ -26,8 +26,25 @@ from shapeforge.serialize import (
 def test_dumps_document_matches_json_dumps(n, d, config):
     doc = document_from_result(enumerate_shapes(n, d, config))
     text = dumps_document(doc)
-    assert text == json.dumps(document_to_dict(doc), indent=2) + "\n"
+
+    # the reference expands each record into monomials, independently of
+    # the writer's own expansion table
+    def poly(rec):
+        terms = rec.poly.terms
+        return [{"exp": list(m), "coef": str(terms[m])}
+                for m in sorted(terms, reverse=True)]
+
+    assert text == json.dumps(document_to_dict(doc, poly), indent=2) + "\n"
     assert dumps_document(loads_document(text)) == text
+
+
+@pytest.mark.parametrize("slater", [{}, None], ids=["empty", "none"])
+def test_record_without_polynomial_cannot_be_written(slater):
+    doc = document_from_result(enumerate_shapes(2, 3))
+    records = list(doc.records)
+    records[1] = records[1]._replace(slater=slater)
+    with pytest.raises(ValueError):
+        dumps_document(doc._replace(records=records))
 
 
 @pytest.mark.parametrize("config", [EngineConfig(), EngineConfig(max_letters=1)],
