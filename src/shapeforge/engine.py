@@ -71,14 +71,15 @@ Ostlund, Modern Quantum Chemistry, ch. 2).  R and every shape are
 homogeneous in each coordinate separately, so the linear system splits
 into independent blocks, one per multidegree; only the products in the
 target's blocks are built, and each set's image under a generator is
-worked out once per call, in one table per generator.
-Each block is solved on its own, transposed: one equation per
-occupation set, the block's products as unknowns and the target's
-coefficients as the right-hand side, eliminated by exactla's one kernel
-and back-substituted over one common denominator.  The shapes must be a
+worked out once per call, in one table per generator.  Images, products
+and equations are keyed by interned set ids, not by tuples of rows.
+Each block is solved on its own, transposed: one equation per occupation
+set, the block's products as unknowns and the target's coefficients as
+the right-hand side, eliminated by exactla's one kernel and
+back-substituted over one common denominator.  The shapes must be a
 basis, so the products are independent and the solution is unique.
-assemble, the way back, builds the same products through the same
-helper and expands their sum once.
+assemble, the way back, builds the same products through the same helper
+and maps the ids back to rows once, to expand their sum.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ from .multipoly import (
     MPoly,
     OddDimensionRequiredError,
     _sort_with_sign,
+    intern_sets,
     slater_basis,
     slater_coefficients,
     slater_normalized,
@@ -564,10 +566,10 @@ def _rising_monomials(per_rise: Sequence[list[tuple]], degree: tuple,
             yield sum(parts, ())
 
 
-def _product(coeffs: dict[tuple, int], gexp: tuple, n: int,
-             products: dict, lifts: dict) -> dict[tuple, int]:
-    """The generator monomial gexp times sum(coeff * Alt(rows)) in Slater
-    coordinates, one elementary symmetric generator at a time
+def _product(coeffs: dict[int, int], gexp: tuple, n: int, products: dict,
+             lifts: dict, sets: list[tuple], ids: dict) -> dict[int, int]:
+    """The generator monomial gexp times sum(coeff * Alt(sets[i])) on
+    interned sets, one elementary symmetric generator at a time
     (slater_times_elementary).  products holds this shape's products by
     monomial and lifts each generator's set images; both fill as they are
     met, for one call."""
@@ -580,8 +582,8 @@ def _product(coeffs: dict[tuple, int], gexp: tuple, n: int,
             reduced = gexp[:i] + (gexp[i] - 1,) + gexp[i + 1:]
             c, j = divmod(i, n)
             got = slater_times_elementary(
-                _product(coeffs, reduced, n, products, lifts), c, j + 1,
-                lifts.setdefault(i, {}))
+                _product(coeffs, reduced, n, products, lifts, sets, ids),
+                c, j + 1, lifts.setdefault(i, {}), sets, ids)
         products[gexp] = got
     return got
 
@@ -802,15 +804,15 @@ def express_in_basis(
     The solve runs in occupation-set coordinates: psi and every product
     (generator monomial * shape) are antisymmetric, so each is held as its
     Slater coefficients, and a product is built from the shape's by letting
-    one elementary symmetric generator at a time act on the occupation sets.
-    The products are homogeneous in each coordinate separately, so the
-    system splits into one block per multidegree; only the products in
-    psi's blocks are built, and each occupation set's image under a
-    generator is worked out once per call.  Each block is one
-    SparseIntMatrix: a row per occupation set, a column per product (the
-    unknowns, sparsest product first) and psi's coefficient on that set
-    in the column past them.  Forward elimination takes the sparsest
-    equations first, and SparseIntMatrix.solve back-substitutes.
+    one elementary symmetric generator at a time act on the occupation sets,
+    each interned as an integer id when first met.  The products are
+    homogeneous in each coordinate separately, so the system splits into one
+    block per multidegree; only the products in psi's blocks are built, and
+    each set's image under a generator is worked out once per call.  Each
+    block is one SparseIntMatrix: a row per occupation set, a column per
+    product (the unknowns, sparsest product first) and psi's coefficient on
+    that set in the column past them.  Forward elimination takes the
+    sparsest equations first, and SparseIntMatrix.solve back-substitutes.
 
     Records must be a basis (verify_completeness certifies it): then the
     products are independent and the coefficients unique.  psi outside
@@ -819,10 +821,11 @@ def express_in_basis(
 
     Records must be antisymmetric and homogeneous in each coordinate, as
     enumerate_shapes and `shapeforge verify` guarantee.  A record that is
-    not, and a psi that is not antisymmetric, raise ValueError;
-    ShapeRecord.checked_slater checks each record, and psi's antisymmetry
-    is checked by slater_coefficients as its coefficients are read.
+    not, a psi that is not antisymmetric, and one over other variables
+    than (n, d) raise ValueError; ShapeRecord.checked_slater checks each
+    record, and slater_coefficients psi's antisymmetry as it reads it.
     """
+    psi._check_same_space(MPoly.zero(n, d))
     out: list[dict[tuple, Fraction]] = [{} for _ in records]
     if psi.is_zero():
         return out
@@ -836,23 +839,24 @@ def express_in_basis(
     if g > degree_D(d, n):
         raise ValueError(f"grade {g} beyond the verified range")
 
-    targets: dict[tuple, dict[tuple, int]] = {}
-    for rows, c in target_sets.items():
-        targets.setdefault(_multidegree(rows), {})[rows] = c
+    sets, ids = [], {}   # occupation sets by id, and back (intern_sets)
+    targets: dict[tuple, dict[int, int]] = {}
+    for sid, c in intern_sets(target_sets, sets, ids).items():
+        targets.setdefault(_multidegree(sets[sid]), {})[sid] = c
     # only the generator monomials that take a shape into one of psi's blocks
     per_rise = [generator_monomials(n, 1, k) for k in range(g + 1)]
     recipes: dict[tuple, list] = {block: [] for block in targets}
-    lifts: dict[int, dict[tuple, tuple]] = {}
+    lifts: dict[int, dict[int, list]] = {}
     for idx, rec in enumerate(records):
         if rec.grade > g:
             continue
-        coeffs = rec.checked_slater()
-        degree = _multidegree(next(iter(coeffs)))
+        coeffs = intern_sets(rec.checked_slater(), sets, ids)
+        degree = _multidegree(sets[next(iter(coeffs))])
         products: dict[tuple, dict] = {}
         for block, here in recipes.items():
             for gexp in _rising_monomials(per_rise, degree, block):
-                here.append(
-                    (idx, gexp, _product(coeffs, gexp, n, products, lifts)))
+                here.append((idx, gexp, _product(coeffs, gexp, n, products,
+                                                 lifts, sets, ids)))
 
     for block, target in targets.items():
         # one equation per occupation set, one unknown per product and the
@@ -860,10 +864,10 @@ def express_in_basis(
         # sparsest equations first keep the echelon small
         here = sorted(recipes[block], key=lambda r: len(r[2]))
         rhs = len(here)
-        equations = {rows: {rhs: c} for rows, c in target.items()}
+        equations = {sid: {rhs: c} for sid, c in target.items()}
         for col, (_, _, prod) in enumerate(here):
-            for rows, c in prod.items():
-                equations.setdefault(rows, {})[col] = c
+            for sid, c in prod.items():
+                equations.setdefault(sid, {})[col] = c
         matrix = SparseIntMatrix()
         for eq in sorted(equations.values(), key=len):
             matrix.try_extend(eq)
@@ -884,21 +888,26 @@ def assemble(
     d: int,
 ) -> MPoly:
     """Evaluate sum_i Phi_i * Psi_i back in the particle variables: the
-    products of express_in_basis, summed on Slater coefficients."""
-    acc: dict[tuple, Fraction] = {}
-    lifts: dict[int, dict[tuple, tuple]] = {}
-    for rec, phi in zip(records, phis):
+    products of express_in_basis, summed on Slater coefficients.  One Phi
+    per record, keyed by exponent tuples of length n * d, or ValueError."""
+    acc: dict[int, Fraction] = {}
+    sets, ids = [], {}
+    lifts: dict[int, dict[int, list]] = {}
+    for rec, phi in zip(records, phis, strict=True):
+        if any(len(gexp) != n * d for gexp in phi):
+            raise ValueError(f"phi {rec.id}: exponents not of length {n * d}")
         terms = [(gexp, coeff) for gexp, coeff in phi.items() if coeff]
-        coeffs = rec.checked_slater() if terms else {}
+        coeffs = intern_sets(rec.checked_slater(), sets, ids) if terms else {}
         products: dict[tuple, dict] = {}
         for gexp, coeff in terms:
-            for rows, c in _product(coeffs, gexp, n, products, lifts).items():
-                new = acc.get(rows, 0) + coeff * c
+            for sid, c in _product(coeffs, gexp, n, products, lifts,
+                                   sets, ids).items():
+                new = acc.get(sid, 0) + coeff * c
                 if new:
-                    acc[rows] = new
+                    acc[sid] = new
                 else:
-                    del acc[rows]
-    for rows, c in acc.items():
+                    del acc[sid]
+    for sid, c in acc.items():
         if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} at {rows}")
-    return slater_to_poly({rows: int(c) for rows, c in acc.items()}, n, d)
+            raise ValueError(f"non-integer coefficient {c} at {sets[sid]}")
+    return slater_to_poly({sets[sid]: int(c) for sid, c in acc.items()}, n, d)

@@ -12,6 +12,9 @@ A pivot row only occupies columns at or after its pivot, so it stops at
 the first column without a pivot: no pivot row can clear that column,
 and the candidate is known to lie outside the span.  reduce returns that
 residual, an integer combination s * vec - sum(c_i * row_i) with s != 0.
+The smallest column comes off a heap of the candidate's columns: a row
+update pushes each column it creates, only ever past the one it clears,
+and a popped column that has cancelled since is skipped.
 
 The echelon also solves a linear system: add one row per equation,
 unknowns as columns and the right-hand side in the column past them,
@@ -22,6 +25,7 @@ multidegree block at a time.
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 
 class SparseIntMatrix:
@@ -39,12 +43,15 @@ class SparseIntMatrix:
         """The primitive residual of vec against the echelon (see the
         module docstring); empty exactly when vec lies in the span."""
         v = {c: x for c, x in vec.items() if x}
-        while v:
-            col = min(v)
+        heap = sorted(v)   # a sorted list is a heap
+        while heap:
+            col = heappop(heap)
+            a = v.get(col)
+            if a is None:   # cancelled since it was pushed
+                continue
             row = self._pivots.get(col)
             if row is None:
                 break
-            a = v[col]
             p = row[col]
             g = math.gcd(p, a)
             pm, am = p // g, a // g
@@ -52,11 +59,14 @@ class SparseIntMatrix:
                 for c in v:
                     v[c] *= pm
             for c, rc in row.items():
-                new = v.get(c, 0) - am * rc
-                if new:
+                old = v.get(c)
+                if old is None:
+                    v[c] = -am * rc
+                    heappush(heap, c)
+                elif new := old - am * rc:
                     v[c] = new
                 else:
-                    v.pop(c, None)
+                    del v[c]
         _divide_by_content(v)
         return v
 

@@ -14,10 +14,10 @@ An antisymmetric polynomial is a sum of Slater determinants Alt(rows),
 one per set of n distinct d-tuples, so it is also held as its Slater
 coefficients {rows ascending: coefficient}.  antisymmetrize and
 MPoly.is_antisymmetric go through the converter pair slater_coefficients /
-slater_to_poly; slater_normalized and slater_times_elementary (the product
-with e_j, from which the decomposition builds its products) work on the
-coefficients; _alternation_table is the one expansion table, shared by
-slater_to_poly and the shapes.json writer and loader.
+slater_to_poly; slater_normalized and slater_times_elementary (e_j times a
+sum on interned set ids, for the decomposition) work on the coefficients;
+_alternation_table is the one expansion table, shared by slater_to_poly and
+the shapes.json writer and loader.
 """
 
 from __future__ import annotations
@@ -428,39 +428,45 @@ def slater_to_poly(coeffs: Mapping[tuple, int], n: int, d: int) -> MPoly:
     return MPoly(n, d, terms)
 
 
-def slater_times_elementary(coeffs: Mapping[tuple, int], c: int, j: int,
-                            images: dict[tuple, tuple] | None = None
-                            ) -> dict[tuple, int]:
-    """e_j in the coordinate-c variables times sum(coeff * Alt(rows)), in
-    the Slater coordinates of slater_coefficients.
+def intern_sets(coeffs: Mapping[tuple, int], sets: list[tuple],
+                ids: dict[tuple, int]) -> dict[int, int]:
+    """coeffs keyed by set id, for sets[id] == set and ids[set] == id."""
+    for rows in coeffs:
+        if ids.setdefault(rows, len(sets)) == len(sets):
+            sets.append(rows)
+    return {ids[rows]: coeff for rows, coeff in coeffs.items()}
+
+
+def slater_times_elementary(coeffs: Mapping[int, int], c: int, j: int,
+                            images: dict[int, list], sets: list[tuple],
+                            ids: dict[tuple, int]) -> dict[int, int]:
+    """e_j in the coordinate-c variables times sum(coeff * Alt(sets[i])),
+    with coeffs and the result keyed by set ids (intern_sets).
 
     e_j is symmetric, so it acts on Alt(rows) as the sum over j-subsets of
     rows, each raised by one in coordinate c.  A result with two equal rows
     vanishes; the others are re-sorted and take the sign of that sort.
-    Each set's image is worked out once, as (set, sign) pairs, into images;
+    Each set's image is worked out once, as (id, sign) pairs, into images;
     calls for the same c and j may share that table.
     """
-    if images is None:
-        images = {}
-    out: dict[tuple, int] = {}
-    for rows, coeff in coeffs.items():
-        image = images.get(rows)
+    out: dict[int, int] = {}
+    for sid, coeff in coeffs.items():
+        image = images.get(sid)
         if image is None:
-            raised: dict[tuple, int] = {}
+            rows = sets[sid]
+            image = images[sid] = []
             for subset in itertools.combinations(range(len(rows)), j):
                 new = list(rows)
                 for a in subset:
                     r = new[a]
                     new[a] = r[:c] + (r[c] + 1,) + r[c + 1:]
                 sign = _sort_with_sign(new)
-                if sign:
-                    key = tuple(new)
-                    v = raised.get(key, 0) + sign
-                    if v:
-                        raised[key] = v
-                    else:
-                        del raised[key]
-            image = images[rows] = tuple(raised.items())
+                if sign:   # distinct subsets raise to distinct sets
+                    new = tuple(new)
+                    key = ids.setdefault(new, len(sets))
+                    if key == len(sets):
+                        sets.append(new)
+                    image.append((key, sign))
         for new, sign in image:
             v = out.get(new, 0) + sign * coeff
             if v:

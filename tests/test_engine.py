@@ -32,10 +32,12 @@ from shapeforge.engine import (
     verify_sign_conflict,
 )
 from shapeforge.multipoly import (
+    DimensionMismatchError,
     MPoly,
     OddDimensionRequiredError,
     antisymmetrize,
     elementary_symmetric,
+    intern_sets,
     slater_basis,
     slater_coefficients,
     slater_times_elementary,
@@ -619,7 +621,12 @@ def test_verify_completeness_detects_symmetric_multiple():
             if sorted(rise) != [0, 0, 1]:
                 continue
             controls += 1
-            prod = slater_times_elementary(low.slater, rise.index(1), 1)
+            # the product kernel works on interned sets: intern the lower
+            # shape's and map the product back to rows
+            sets, ids = [], {}
+            prod = slater_times_elementary(intern_sets(low.slater, sets, ids),
+                                           rise.index(1), 1, {}, sets, ids)
+            prod = {sets[sid]: c for sid, c in prod.items()}
             edited = list(records)
             edited[slot.id] = slot._replace(slater=prod)
             with pytest.raises(IncompletenessError,
@@ -795,6 +802,27 @@ def test_assemble_matches_the_monomial_products():
         assemble(records, phis, 2, 3)
 
 
+@pytest.mark.parametrize("case", ["too few phis", "too many phis",
+                                  "short exponent tuple"])
+def test_assemble_rejects_phis_that_do_not_fit(case):
+    # each of these used to return a polynomial: pairing records with phis
+    # dropped the surplus of either, and a length-4 exponent tuple at (3,3)
+    # was read as a monomial in the first four generators
+    records = enumerate_shapes(3, 3).records
+    phis = [dict() for _ in records]
+    for phi in phis:
+        phi[(0,) * 9] = Fraction(1)
+    if case == "too few phis":
+        phis, match = phis[:3], "argument 2 is shorter"
+    elif case == "too many phis":
+        records, match = records[:3], "argument 2 is longer"
+    else:
+        phis[4] = {(1, 0, 0, 1): Fraction(1)}
+        match = "not of length 9"
+    with pytest.raises(ValueError, match=match):
+        assemble(records, phis, 3, 3)
+
+
 def _weights(n, d, gexp):
     return tuple(sum(j * e for j, e in enumerate(gexp[c * n:(c + 1) * n], 1))
                  for c in range(d))
@@ -864,3 +892,17 @@ def test_express_rejects_bad_inputs():
     too_high = e1 * e1 * e1 * e1 * source_shape(2, 3)
     with pytest.raises(ValueError):
         express_in_basis(too_high, records, 2, 3)
+
+
+def test_express_rejects_psi_of_another_shape():
+    records33 = enumerate_shapes(3, 3).records
+    records23 = enumerate_shapes(2, 3).records
+    psi = records33[5].poly
+    # a (3,3) psi against d=5 used to decompose without complaint, and
+    # against (2,3) records failed as "grade 6 beyond the verified range"
+    for records, n, d in ((records33, 3, 5), (records23, 2, 3)):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"\(n=3,d=3\) vs \(n={n},d={d}\)"):
+            express_in_basis(psi, records, n, d)
+    with pytest.raises(DimensionMismatchError):
+        express_in_basis(MPoly.zero(3, 3), records23, 2, 3)

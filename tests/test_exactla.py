@@ -5,6 +5,8 @@ import pytest
 
 from shapeforge.exactla import SparseIntMatrix
 
+from exactla_reference import ScanMatrix
+
 
 def oracle_rank(rows, ncols):
     """Dense Gaussian elimination over the rationals."""
@@ -278,3 +280,64 @@ def test_solve_big_integer_exactness():
     equations = integer_equations(rows, x)
     assert echelon_solve(equations, 3) == x
     assert echelon_solve(equations[::-1], 3) == x
+
+
+def _assert_same_echelon(heap, scan):
+    assert heap.rank() == scan.rank()
+    # the same rows, pivot for pivot, with their entries in the same order
+    assert [(p, list(row.items())) for p, row in heap._pivots.items()] == \
+        [(p, list(row.items())) for p, row in scan._pivots.items()]
+
+
+def test_heap_reduce_matches_the_scan_on_random_systems():
+    rng = random.Random(2020)
+    for _ in range(150):
+        ncols = rng.randrange(2, 14)
+        heap, scan = SparseIntMatrix(), ScanMatrix()
+        for _ in range(rng.randrange(1, 2 * ncols)):
+            if heap.rank() and rng.random() < 0.3:
+                # a combination of pivot rows plus a little noise cancels
+                # columns on the way down and may fill others in again
+                vec = {}
+                for row in rng.sample(list(heap._pivots.values()),
+                                      min(3, heap.rank())):
+                    k = rng.choice((-2, -1, 1, 3))
+                    for c, x in row.items():
+                        vec[c] = vec.get(c, 0) + k * x
+                if rng.random() < 0.5:
+                    c = rng.randrange(ncols)
+                    vec[c] = vec.get(c, 0) + rng.choice((-1, 1))
+            else:
+                vec = {c: rng.choice((-3, -2, -1, 1, 2, 5))
+                       for c in rng.sample(range(ncols),
+                                           rng.randrange(1, ncols + 1))}
+            want = scan.reduce(vec)
+            got = heap.reduce(vec)
+            assert list(got.items()) == list(want.items()), vec
+            assert heap.try_extend(vec) == scan.try_extend(vec)
+            _assert_same_echelon(heap, scan)
+        rhs = ncols - 1
+        try:
+            want = scan.solve(rhs)
+        except ValueError:
+            with pytest.raises(ValueError, match="inconsistent"):
+                heap.solve(rhs)
+        else:
+            assert heap.solve(rhs) == want
+
+
+def test_heap_reduce_skips_a_column_that_cancels_and_fills_again():
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}]
+    heap, scan = SparseIntMatrix(), ScanMatrix()
+    for row in rows:
+        assert heap.try_extend(row) and scan.try_extend(row)
+    # clearing column 0 cancels column 2 and clearing column 1 fills it
+    # again, so column 2 enters the heap twice; the second entry comes off
+    # stale, after column 2 is cleared
+    vec = {0: 1, 1: 1, 2: 1}
+    assert heap.reduce(vec) == scan.reduce(vec) == {3: 1}
+    # the same with a column left over that has no pivot
+    vec = {0: 1, 1: 1, 2: 1, 4: 2}
+    assert list(heap.reduce(vec).items()) == \
+        list(scan.reduce(vec).items()) == [(4, 2), (3, 1)]
+    _assert_same_echelon(heap, scan)

@@ -11,6 +11,7 @@ from shapeforge.multipoly import (
     _leading_key,
     antisymmetrize,
     elementary_symmetric,
+    intern_sets,
     slater_basis,
     slater_coefficients,
     slater_normalized,
@@ -422,6 +423,16 @@ def test_slater_coefficients_round_trip_through_antisymmetrize():
     assert slater_coefficients(MPoly.zero(2, 3)) == {}
 
 
+def _times_elementary(coeffs, c, j, images=None, sets=None, ids=None):
+    """slater_times_elementary on rows-keyed coefficients: intern them, take
+    the product on set ids and map the result back to rows."""
+    sets = [] if sets is None else sets
+    ids = {} if ids is None else ids
+    got = slater_times_elementary(intern_sets(coeffs, sets, ids), c, j,
+                                  {} if images is None else images, sets, ids)
+    return {sets[sid]: v for sid, v in got.items()}
+
+
 def test_slater_times_elementary_matches_product():
     rng = random.Random(12)
     for n, d in ((3, 3), (2, 5)):
@@ -432,7 +443,7 @@ def test_slater_times_elementary_matches_product():
                 p = p + antisymmetrize(rows).scale(c)
             for c in range(d):
                 for j in range(1, n + 1):
-                    got = slater_times_elementary(coeffs, c, j)
+                    got = _times_elementary(coeffs, c, j)
                     want = elementary_symmetric(c, j, n, d) * p
                     assert got == slater_coefficients(want), (n, d, c, j)
                     # collisions drop out, so nothing but nonzero sets remain
@@ -447,21 +458,26 @@ def test_slater_times_elementary_shares_images():
             for j in range(1, n + 1):
                 # one table across several dicts, so later calls read the
                 # images that earlier calls filled
-                images = {}
+                images, sets, ids = {}, [], {}
                 for _ in range(4):
                     coeffs = {rows: rng.choice((-3, -2, -1, 1, 2, 3))
                               for rows in rng.sample(basis, 6)}
                     want = elementary_symmetric(c, j, n, d) * \
                         slater_to_poly(coeffs, n, d)
-                    got = slater_times_elementary(coeffs, c, j, images)
+                    got = _times_elementary(coeffs, c, j, images, sets, ids)
                     assert got == slater_coefficients(want), (n, d, c, j)
+                # the interned sets and their ids stay inverse
+                assert all(ids[rows] == sid for sid, rows in enumerate(sets))
     # {0, 3} and {1, 2} both raise to {1, 3}, where the terms cancel
-    images = {}
+    images, sets, ids = {}, [], {}
     coeffs = {((0,), (3,)): 1, ((1,), (2,)): -1}
-    assert slater_times_elementary(coeffs, 0, 1, images) == {((0,), (4,)): 1}
-    assert slater_times_elementary(coeffs, 0, 1, images) == \
-        slater_times_elementary(coeffs, 0, 1)
-    assert images[((1,), (2,))] == ((((1,), (3,)), 1),)
+    assert _times_elementary(coeffs, 0, 1, images, sets, ids) == \
+        {((0,), (4,)): 1}
+    assert _times_elementary(coeffs, 0, 1, images, sets, ids) == \
+        _times_elementary(coeffs, 0, 1)
+    assert images[ids[((1,), (2,))]] == [(ids[((1,), (3,))], 1)]
+    # ids follow the order in which the sets are first met
+    assert sets == [((0,), (3,)), ((1,), (2,)), ((1,), (3,)), ((0,), (4,))]
 
 
 def _alt_sum(coeffs, n, d):
