@@ -32,7 +32,8 @@ from .multipoly import (
     slater_normalized,
     source_slater,
 )
-from .qseries import Statistics, shape_entropy, shape_poly, state_count_series
+from .qseries import (Statistics, degree_D, shape_entropy, shape_poly,
+                      state_count_series)
 from .serialize import (
     ShapeDocument,
     document_from_result,
@@ -50,6 +51,9 @@ EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 EXIT_HISTOGRAM = 4
 EXIT_VERIFY = 5
+# a d, a shape-polynomial degree d*N(N-1)/2 or a series truncation past any
+# list index sizes something that cannot be formed, so it is refused first
+_TOO_LARGE = "N, d or the grade too large to form: past any list index"
 
 
 def _fail_usage(message: str) -> int:
@@ -105,6 +109,8 @@ def cmd_poly(args) -> int:
         return _fail_usage("N must be nonnegative")
     if args.d < 1:
         return _fail_usage("d must be positive")
+    if max(degree_D(args.d, args.N), args.d) > sys.maxsize:
+        return _fail_usage(_TOO_LARGE)
     stats = Statistics.FERMION if args.fermion else Statistics.BOSON
     p = shape_poly(args.N, args.d, stats)
     print(p)
@@ -119,6 +125,8 @@ def cmd_gen(args) -> int:
         return _fail_usage("N must be at least 1")
     if args.d < 1 or args.d % 2 == 0:
         return _fail_usage("generation requires odd d")
+    if max(degree_D(args.d, args.N), args.d) > sys.maxsize:
+        return _fail_usage(_TOO_LARGE)
     if min(args.max_letters, args.max_amount, args.max_drop) < 1:
         return _fail_usage("vocabulary bounds must be positive")
     config = EngineConfig(
@@ -224,8 +232,7 @@ def _check_records(doc: ShapeDocument) -> str | None:
         if sum(map(sum, next(iter(coeffs)))) != rec.grade:
             return f"{tag}: polynomial grade differs from the stated grade"
         # _check_counts has matched every grade to a shape-polynomial term
-        if not math.isclose(rec.entropy, shape_entropy(n, d, rec.grade),
-                            rel_tol=1e-12):
+        if rec.entropy != shape_entropy(n, d, rec.grade):
             return f"{tag}: entropy differs from the log of its grade's count"
         if slater_normalized(coeffs)[1:] != (1, 1):
             return f"{tag}: polynomial is not in canonical form"
@@ -351,6 +358,8 @@ def cmd_count(args) -> int:
         return _fail_usage("d must be positive")
     if args.max_grade < 0:
         return _fail_usage("max grade must be nonnegative")
+    if max(degree_D(args.d, args.N), args.d, args.max_grade) > sys.maxsize:
+        return _fail_usage(_TOO_LARGE)
     series = state_count_series(args.N, args.d, args.max_grade)
     mismatch = False
     for g in range(args.max_grade + 1):

@@ -435,17 +435,15 @@ def enumerate_shapes(
         # accepted shapes at this grade by their Slater coefficients: a
         # candidate that reproduces one is an extra edge, with no span test
         accepted_here: dict[frozenset, int] = {}
-        candidates = [
-            (rec, entry)
-            for rec in records
-            if rec.grade > g
-            for entry in by_net.get(g - rec.grade, ())
-        ]
-        consumed = 0
+        # candidates by parent id, then by word; a shape accepted during the
+        # scan sits at grade g, so it is never a parent at its own grade
+        eligible = sum(len(by_net.get(g - rec.grade, ()))
+                       for rec in records if rec.grade > g)
+        candidates = ((rec, entry) for rec in records if rec.grade > g
+                      for entry in by_net.get(g - rec.grade, ()))
         for rec, (widx, w, floor, raised) in candidates:
             if stats.found == expected and not config.exhaustive:
                 break
-            consumed += 1
             stats.tried += 1
             if not _reaches(tops[rec.id], floor):
                 # the word kills every row of the parent
@@ -485,7 +483,7 @@ def enumerate_shapes(
                     report.decisions.append((g, rec.id, widx, "extra_edge", match))
                 else:
                     report.decisions.append((g, rec.id, widx, "in_span", None))
-        stats.skipped = len(candidates) - consumed
+        stats.skipped = eligible - stats.tried
 
         if stats.found < expected:
             # a set is taken only when its class extends the same span the

@@ -293,12 +293,12 @@ def min_fill_grade(d: int, n: int) -> int:
 
 def ze_series(n: int, truncation: int) -> QSeries:
     """Single-coordinate state count Z_E(N,q) = prod_{k=1..N} 1/(1-q^k),
-    truncated: the q^g coefficient counts partitions of g into parts <= N."""
+    truncated: q^g counts partitions of g into parts <= min(N, truncation)."""
     if n < 0 or truncation < 0:
         raise ValueError("n and truncation must be nonnegative")
     c = [0] * (truncation + 1)
     c[0] = 1
-    for k in range(1, n + 1):
+    for k in range(1, min(n, truncation) + 1):
         for i in range(k, truncation + 1):
             c[i] += c[i - k]
     return QSeries(c, truncation)

@@ -88,6 +88,14 @@ def _float(value, where: str) -> float:
     raise ArtifactFormatError(f"{where}: expected a float, got {value!r}")
 
 
+def _writer_float(text: str) -> float:
+    """json's parse_float: the writer spells a float as its repr."""
+    if repr(value := float(text)) != text:
+        raise ArtifactFormatError(
+            f"{text}: not in the form the writer gives it")
+    return value
+
+
 def _word(text, d: int, where: str) -> SymWord:
     if not isinstance(text, str):
         raise ArtifactFormatError(f"{where}: expected a word string")
@@ -325,8 +333,8 @@ def loads_document(source: str | TextIO) -> ShapeDocument:
     lives only inside json.load, so it is freed before the document is
     built; a caller that passed the text itself would hold it until this
     returns."""
-    data = json.loads(source) if isinstance(source, str) else json.load(source)
-    return document_from_dict(data)
+    load = json.loads if isinstance(source, str) else json.load
+    return document_from_dict(load(source, parse_float=_writer_float))
 
 
 # --- DOT -----------------------------------------------------------------
@@ -356,6 +364,8 @@ def document_to_dot(doc: ShapeDocument) -> str:
 # --- text report ----------------------------------------------------------
 
 def report_to_text(result: EnumerationResult) -> str:
+    """Run totals, then each grade's GradeStats; `skipped` is the grade's
+    candidates, counted from the vocabulary, left untried once it filled."""
     rep: RunReport = result.report
     lines = [
         f"shapes: {len(result.records)} for n={result.n} d={result.d}",

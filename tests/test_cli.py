@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -70,6 +71,26 @@ def test_poly_rejects_bad_arguments(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 2
     assert "error:" in err
+
+
+# each would form a list past any index: a traceback, or a hang before
+# the series loops were capped; sizes that fit an index but would take
+# gigabytes are out of scope
+@pytest.mark.parametrize("argv", [
+    ("poly", "-N", str(10**20), "-d", "3"),
+    ("gen", "-N", str(10**20), "-d", "3"),
+    ("count", "-N", "3", "-d", "3", "-g", str(10**20)),
+    ("count", "-N", str(10**20), "-d", "1", "-g", "3"),
+    ("count", "-N", "2", "-d", str(10**20), "-g", "3"),
+    ("count", "-N", "1", "-d", str(10**20), "-g", "3"),
+    ("gen", "-N", "1", "-d", str(10**20 + 1)),
+], ids=["poly-N", "gen-N", "count-g", "count-N", "count-d", "count-1-d",
+        "gen-1-d"])
+def test_sizes_too_large_to_form_are_refused(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "too large to form" in err
 
 
 def test_poly_statistics_flags_conflict(capsys):
@@ -255,8 +276,13 @@ def damaged(tmp_path, text, mutate):
     doc = json.loads(text)
     mutate(doc)
     path = tmp_path / "shapes.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(re.sub(r'"@raw:(.*?)@"', r"\1", json.dumps(doc)))
     return str(path)
+
+
+def _raw(text):
+    """A value that damaged() writes as this JSON text, unquoted."""
+    return f"@raw:{text}@"
 
 
 VERIFY_CHECKS = ("counts and histogram", "record replay",
@@ -479,6 +505,17 @@ def test_verify_random_edits_never_traceback(tmp_path, capsys, artifact_text):
             edits.append((path + ("swap", i), _swap(path, i)))
         path = rng.choice(dicts)
         edits.append((path + ("unknown",), _add_key(path)))
+    # entropies gen never writes: another value, or its value spelled
+    # another way
+    for k in range(len(base["shapes"])):
+        path = ("shapes", k, "entropy")
+        for i, spell in enumerate((
+                lambda e: math.nextafter(e, -1),
+                lambda e: math.nextafter(e, 2),
+                lambda e: e * (1 + rng.choice((1e-13, 1e-12, 1e-9))),
+                lambda e: _raw(f"{e!r}0"),
+                lambda e: _raw(f"{e:.17e}"))):
+            edits.append((path + ("respelled", i), _respell(path, spell)))
     for path, mutate in edits:
         edited = damaged(tmp_path, artifact_text, mutate)
         rc, _, _ = run(capsys, "verify", edited)
@@ -687,9 +724,10 @@ def _exponent_true(doc):
 
 
 # forms gen never writes, each a (3,3) artifact edit: a term list that is
-# not the ordered expansion of its Slater coefficients, or extra edges out
-# of the descent's order, fail verification (exit 5); a second spelling, a
-# wrong type or tree edges out of order do not load (exit 2)
+# not the ordered expansion of its Slater coefficients, extra edges out of
+# the descent's order, or an entropy one float off, fail verification
+# (exit 5); a second spelling (of a float, any text but its repr), a wrong
+# type or tree edges out of order do not load (exit 2)
 @pytest.mark.parametrize("mutate,code", [
     (_duplicate(("shapes", 1, "poly")), 5),
     (_swap(("shapes", 1, "poly")), 5),
@@ -705,13 +743,21 @@ def _exponent_true(doc):
     (_respell(("tree", "extra_edges", 0, "sign"), str), 2),
     (_respell(("n",), str), 2),
     (_respell(("shapes", 0, "entropy"), int), 2),
+    (_respell(("shapes", 1, "entropy"), lambda e: math.nextafter(e, 2)), 5),
+    (_respell(("shapes", 1, "entropy"), lambda e: _raw("1.0986122886691098")),
+     2),
+    (_respell(("shapes", 1, "entropy"), lambda e: _raw("1.098612288668e0")),
+     2),
+    (_respell(("shapes", 1, "entropy"), lambda e: _raw("1.09861228866810980")),
+     2),
     (_exponent_true, 2),
     (_add_key(("shapes", 0, "poly", 0)), 2),
 ], ids=["term-twice", "terms-swapped", "extra-edges-swapped",
         "tree-edges-swapped", "coef-plus", "coef-space", "content-01",
         "shape-poly-03", "id-string", "grade-string", "sign-string",
-        "extra-edge-sign-string", "n-string", "entropy-int", "exp-true",
-        "term-key"])
+        "extra-edge-sign-string", "n-string", "entropy-int",
+        "entropy-next-float", "entropy-other-digits", "entropy-exponent",
+        "entropy-trailing-zero", "exp-true", "term-key"])
 def test_verify_accepts_only_the_writers_form(tmp_path, capsys, artifacts_33,
                                               mutate, code):
     rc, _, err = run(capsys, "verify",

@@ -6,6 +6,7 @@ import itertools
 import logging
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -418,6 +419,29 @@ def test_exhaustive_candidate_totals_are_pinned(n, d, totals, pruned):
                  for k in ("tried", "zero", "survived", "in_span")) == totals
     assert sum(s.pruned for s in stats) == pruned
     assert all(s.pruned <= s.zero for s in stats)
+
+
+@pytest.mark.parametrize("n,d,config", [
+    (3, 3, EngineConfig()),
+    (3, 3, EngineConfig(exhaustive=True)),
+    (2, 5, EngineConfig(exhaustive=True)),
+    (3, 3, EngineConfig(max_letters=1)),
+], ids=["3-3", "3-3-exhaustive", "2-5-exhaustive", "3-3-one-letter"])
+def test_each_candidate_is_tried_or_skipped(n, d, config):
+    # a grade's candidates pair each record above it with each vocabulary
+    # word, bar the single unit lowerings, that takes it down to the grade;
+    # a grade with no shapes has none
+    nets = Counter(w.net_grade() for w in build_vocabulary(d, config)
+                   if [x.step for x in w.word.letters] != [-1])
+    result = enumerate_shapes(n, d, config)
+    for g, s in result.report.per_grade.items():
+        eligible = sum(nets[g - rec.grade] for rec in result.records
+                       if rec.grade > g) if s.expected else 0
+        assert s.tried + s.skipped == eligible, g
+        if config.exhaustive:
+            assert s.skipped == 0, g
+    if config == EngineConfig():
+        assert sum(s.skipped for s in result.report.per_grade.values()) > 0
 
 
 def _digest(obj) -> str:

@@ -201,10 +201,16 @@ def test_ground_grade_against_shell_filling():
 def test_ze_series_against_partition_oracle():
     s = ze_series(2, 4)
     assert s.coeffs == (1, 1, 2, 2, 3)
-    for n in (1, 2, 3, 5):
+    for n in (1, 2, 3, 5, 12):
         s = ze_series(n, 10)
         for g in range(11):
             assert s.coeff(g) == brute_partition_count(g, n)
+
+
+def test_ze_series_parts_above_the_truncation_add_nothing():
+    # only parts up to the truncation are looped over, so a huge n costs
+    # what n = truncation costs, and the series is the same
+    assert ze_series(10**20, 6) == ze_series(11, 6) == ze_series(6, 6)
 
 
 def test_ze_series_truncation_guard():
