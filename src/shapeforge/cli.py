@@ -73,9 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="print a shape polynomial")
     p.add_argument("-N", type=int, required=True, help="particle count")
     p.add_argument("-d", type=int, required=True, help="dimension")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--fermion", action="store_true", default=True)
-    group.add_argument("--boson", dest="fermion", action="store_false")
+    p.add_argument("--boson", action="store_true",
+                   help="boson statistics (default: fermion)")
 
     g = sub.add_parser("gen", help="enumerate shapes and write artifacts")
     g.add_argument("-N", type=int, required=True)
@@ -111,7 +110,7 @@ def cmd_poly(args) -> int:
         return _fail_usage("d must be positive")
     if max(degree_D(args.d, args.N), args.d) > sys.maxsize:
         return _fail_usage(_TOO_LARGE)
-    stats = Statistics.FERMION if args.fermion else Statistics.BOSON
+    stats = Statistics.BOSON if args.boson else Statistics.FERMION
     p = shape_poly(args.N, args.d, stats)
     print(p)
     print(json.dumps(list(p.coeffs)))

@@ -35,7 +35,7 @@ c all lower, and one-body operators act particle by particle, so for a
 parent with L_c Psi = 0, L_c W Psi = W L_c Psi = 0 unless W raises on c.
 That needs the parent killed by every unit lowering, as the root and
 every word shape are; an oracle fill may survive some (an annihilation
-warning), and its children are also tested on those coordinates.
+warning), and its children are tested on every coordinate.
 
 If the vocabulary fails to fill a grade, the enumerator falls back to
 single Slater determinants, which span the full antisymmetric space at
@@ -330,8 +330,8 @@ def _surviving_coordinates(coeffs: dict[tuple, int],
     descent rejects candidates that survive one, and the root must not;
     only oracle fills may survive (they trade the invariant for guaranteed
     span coverage), which is reported as a warning.  The descent tests a
-    candidate only where its word raises and where its parent survives
-    (_raised_coordinates says why)."""
+    candidate only where its word raises (_raised_coordinates says why),
+    or on every coordinate when its parent is an oracle fill."""
     if coordinates is None:
         coordinates = range(len(lowerings))
     for c in coordinates:
@@ -347,7 +347,8 @@ def _raised_coordinates(w: SymWord) -> tuple[int, ...]:
     a raise-then-lower atom (a, -b) differs from it only on rows with
     exponent b.  Symmetrized one-body operators act particle by particle,
     so for Psi killed by the unit lowering L_c and c not listed here,
-    L_c W Psi = W L_c Psi = 0."""
+    L_c W Psi = W L_c Psi = 0.  Every parent but an oracle fill is killed
+    by all the unit lowerings, so its children need testing only here."""
     return tuple(sorted({l.coordinate for l in w.word.letters if l.step > 0}))
 
 
@@ -405,19 +406,15 @@ def enumerate_shapes(
         raise AssertionError(
             f"the source shape survives unit lowering on coordinate {survivor}"
         )
-    # per record: its maximal rows, and the coordinates whose unit lowering
-    # it survives (none, except for oracle fills)
+    # each record's maximal rows, for zero by reach (_reaches)
     tops = [_maximal_rows(records[0].slater)]
-    unkilled: list[tuple[int, ...]] = [()]
     _log_grade(top, per_grade[top], t0)
 
-    def accept(g: int, prim: dict[tuple, int], provenance: Provenance,
-               survives: tuple[int, ...] = ()) -> int:
+    def accept(g: int, prim: dict[tuple, int], provenance: Provenance) -> int:
         rid = len(records)
         records.append(ShapeRecord(rid, g, prim, provenance,
                                    shape_entropy(n, d, g)))
         tops.append(_maximal_rows(prim))
-        unkilled.append(survives)
         return rid
 
     reducer = _CoinvariantReducer(n)
@@ -456,9 +453,8 @@ def enumerate_shapes(
                 stats.zero += 1
                 report.decisions.append((g, rec.id, widx, "zero", None))
                 continue
-            tested = raised
-            if unkilled[rec.id]:
-                tested = sorted({*raised, *unkilled[rec.id]})
+            # an oracle fill may survive unit lowerings: test everywhere
+            tested = None if rec.provenance.kind == "oracle" else raised
             if next(_surviving_coordinates(chi, lowerings, tested),
                     None) is not None:
                 stats.survived += 1
@@ -491,14 +487,12 @@ def enumerate_shapes(
             for rows in slater_basis(n, d, g):
                 if classes.extend({rows: 1}):
                     prim, cont, sign = slater_normalized({rows: 1})
-                    survives = tuple(_surviving_coordinates(prim, lowerings))
                     rid = accept(g, prim,
                                  Provenance(kind="oracle", rows=rows,
-                                            content=cont, sign=sign),
-                                 survives)
+                                            content=cont, sign=sign))
                     stats.found += 1
                     stats.fallback += 1
-                    for c in survives:
+                    for c in _surviving_coordinates(prim, lowerings):
                         logger.warning("shape %d survives unit lowering on "
                                        "coordinate %d", rid, c)
                         report.annihilation_warnings.append((rid, c))

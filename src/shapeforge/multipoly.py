@@ -151,15 +151,7 @@ class MPoly:
         return MPoly(self.n, self.d, out)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
-        self._check_same_space(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            new = out.get(m, 0) - c
-            if new:
-                out[m] = new
-            else:
-                del out[m]
-        return MPoly(self.n, self.d, out)
+        return self + (-other)
 
     def __neg__(self) -> "MPoly":
         return MPoly(self.n, self.d, {m: -c for m, c in self.terms.items()})

@@ -85,10 +85,7 @@ class QPoly:
         return QPoly(out)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return QPoly(out)
+        return self + (-other)
 
     def __neg__(self) -> "QPoly":
         return QPoly(tuple(-c for c in self.coeffs))

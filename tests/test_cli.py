@@ -93,10 +93,13 @@ def test_sizes_too_large_to_form_are_refused(capsys, argv):
     assert "too large to form" in err
 
 
-def test_poly_statistics_flags_conflict(capsys):
-    rc, _, _ = run(capsys, "poly", "-N", "2", "-d", "3",
-                   "--fermion", "--boson")
+def test_poly_fermion_flag_is_refused(capsys):
+    # fermions are the default, so there is no flag that selects them
+    rc, out, err = run(capsys, "poly", "-N", "2", "-d", "3", "--fermion")
     assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments: --fermion" in err
+    assert "Traceback" not in err
 
 
 # --- gen + verify round trip ----------------------------------------------

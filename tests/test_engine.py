@@ -461,11 +461,21 @@ def _digest(obj) -> str:
     (3, 3, EngineConfig(max_letters=1),
      ("a942c5cf780cd2a5", "ed325b827b29b7ec", "47873a98b0948cc2",
       "c8c0f4d8a18b7b24")),
-], ids=["3-3-exhaustive", "2-5-exhaustive", "2-7", "3-3-one-letter"])
+    (3, 3, EngineConfig(max_amount=1),
+     ("7a072d40b35d5adc", "0dfa211051c810bd", "977e203d7d421aa8",
+      "d897af752ab96fb0")),
+    (3, 3, EngineConfig(max_amount=1, exhaustive=True),
+     ("7a072d40b35d5adc", "0dfa211051c810bd", "6598380f36c4933b",
+      "3ab0202d57a819a0")),
+], ids=["3-3-exhaustive", "2-5-exhaustive", "2-7", "3-3-one-letter",
+        "3-3-amount-1", "3-3-amount-1-exhaustive"])
 def test_descent_results_are_pinned(n, d, config, digests):
     # records, tree, every decision and every per-grade counter, as they
     # were when the descent accepted by the span of Slater coefficients:
-    # accepting by class in the sign coinvariants changes none of them
+    # accepting by class in the sign coinvariants changes none of them.
+    # The amount-1 runs have 12 oracle fills, each surviving a unit
+    # lowering, whose children (extra edges among them) go through the
+    # unit-lowering filter on every coordinate
     result = enumerate_shapes(n, d, config)
     assert tuple(map(_digest, (
         result.records, result.tree, result.report.decisions,
@@ -799,6 +809,25 @@ def test_express_round_trip_two_five():
         phis = express_in_basis(psi, records, 2, 5)
         assert phis == built
         assert assemble(records, phis, 2, 5) == psi
+
+
+def test_decomposition_is_pinned():
+    # values and key order of every Phi, on seeded (3,3) states at grades
+    # 5-8 built as the decompose benchmark builds them: a random integer
+    # combination of up to three antisymmetrized occupation sets
+    records = enumerate_shapes(3, 3).records
+    out = []
+    for seed in range(1, 13):
+        for grade in (5, 6, 7, 8):
+            rng = random.Random(f"{seed}/0/{grade}")
+            basis = slater_basis(3, 3, grade)
+            psi = MPoly.zero(3, 3)
+            for rows in rng.sample(basis, min(3, len(basis))):
+                coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+                psi = psi + antisymmetrize(list(rows)).scale(coeff)
+            phis = express_in_basis(psi, records, 3, 3)
+            out.append([list(phi.items()) for phi in phis])
+    assert _digest(out) == "25c0cf9d6bf4a087"
 
 
 def test_assemble_matches_the_monomial_products():

@@ -64,6 +64,8 @@ def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         MPoly.variable(2, 1, 0, 0) + MPoly.variable(3, 1, 0, 0)
     with pytest.raises(DimensionMismatchError):
+        MPoly.variable(2, 1, 0, 0) - MPoly.variable(3, 1, 0, 0)
+    with pytest.raises(DimensionMismatchError):
         MPoly.variable(2, 2, 0, 0) * MPoly.variable(2, 1, 0, 0)
 
 
@@ -92,6 +94,13 @@ def test_permute_particles_moves_labels():
     p = MPoly.variable(2, 2, 0, 0) * MPoly.variable(2, 2, 1, 1)
     q = p.permute_particles([1, 0])
     assert q == MPoly.variable(2, 2, 0, 1) * MPoly.variable(2, 2, 1, 0)
+
+
+def test_sub_keeps_term_order_and_drops_cancelled_terms():
+    t1 = MPoly.variable(2, 1, 0, 0)
+    t2 = MPoly.variable(2, 1, 0, 1)
+    assert list((t1 - t2).terms.items()) == [((1, 0), 1), ((0, 1), -1)]
+    assert ((t1 - t2) - t1).terms == {(0, 1): -1}
 
 
 def test_is_antisymmetric_examples():

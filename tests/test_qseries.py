@@ -66,6 +66,8 @@ def test_qpoly_arithmetic():
     p = QPoly([1, 1])
     assert (p * p).coeffs == (1, 2, 1)
     assert (p - p).is_zero()
+    assert (QPoly([1]) - QPoly([0, 0, 2])).coeffs == (1, 0, -2)
+    assert (QPoly([1, 2, 3]) - QPoly([0, 0, 3])).coeffs == (1, 2)
     assert (p ** 3).coeffs == (1, 3, 3, 1)
     assert (QPoly([0, 1, 1]) + QPoly([1])).coeffs == (1, 1, 1)
     assert (-QPoly([1, -2])).coeffs == (-1, 2)
