@@ -243,8 +243,6 @@ def _check_records(doc: ShapeDocument) -> str | None:
         if foreign:
             return f"{tag}: {pv.kind} provenance has {', '.join(foreign)}"
         if pv.kind == "root":
-            if rec.id != doc.tree.root:
-                return f"{tag}: root provenance on a non-root id"
             if (pv.content != 1 or pv.sign != 1
                     or coeffs != source_slater(n, d)):
                 return f"{tag}: root does not replay to the source shape"
@@ -265,22 +263,21 @@ def _check_records(doc: ShapeDocument) -> str | None:
             return f"{tag}: replay gives zero"
         if slater_normalized(raw) != (coeffs, pv.content, pv.sign):
             return f"{tag}: replay does not reproduce the polynomial"
-        if pv.kind == "word" and (doc.tree.edges.get(rec.id)
-                                  != (pv.parent, pv.word)):
-            return f"{tag}: tree edge disagrees with provenance"
     return None
 
 
 def _check_tree(doc: ShapeDocument) -> str | None:
-    """Tree edges are exactly the word records' (each already matched to
-    its provenance), and the extra edges come in gen's order and replay
-    with their signs, in occupation-set coordinates like the records."""
-    word_children = {rec.id for rec in doc.records
-                     if rec.provenance.kind == "word"}
-    if set(doc.tree.edges) != word_children:
-        return "tree edges do not match word-derived records"
-    if doc.tree.root in doc.tree.edges:
-        return "root has an incoming tree edge"
+    """The tree's root is the one root record, its edges are exactly the
+    word records' (parent, word) provenance, and the extra edges come in
+    gen's order and replay with their signs, in occupation-set coordinates
+    like the records."""
+    roots = [rec.id for rec in doc.records if rec.provenance.kind == "root"]
+    if roots != [doc.tree.root]:
+        return "tree root is not the root record"
+    if doc.tree.edges != {rec.id: (rec.provenance.parent, rec.provenance.word)
+                          for rec in doc.records
+                          if rec.provenance.kind == "word"}:
+        return "tree edges differ from the word records' provenance"
     ids = {rec.id for rec in doc.records}
     previous = ()
     for src, dst, word, sign in doc.tree.extra_edges:

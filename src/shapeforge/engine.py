@@ -293,16 +293,12 @@ class RunReport(_Slotted):
     __slots__ = ("vocabulary_size", "per_grade", "decisions",
                  "annihilation_warnings", "elapsed")
 
-    def __init__(self, vocabulary_size: int, per_grade: dict[int, GradeStats],
-                 decisions: list[tuple] | None = None,
-                 annihilation_warnings: list[tuple[int, int]] | None = None,
-                 elapsed: float = 0.0):
+    def __init__(self, vocabulary_size: int, per_grade: dict[int, GradeStats]):
         self.vocabulary_size = vocabulary_size
         self.per_grade = per_grade
-        self.decisions = [] if decisions is None else decisions
-        self.annihilation_warnings = ([] if annihilation_warnings is None
-                                      else annihilation_warnings)
-        self.elapsed = elapsed
+        self.decisions: list[tuple] = []
+        self.annihilation_warnings: list[tuple[int, int]] = []
+        self.elapsed = 0.0
 
 
 class EnumerationResult(NamedTuple):

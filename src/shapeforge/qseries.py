@@ -209,15 +209,9 @@ class QSeries:
         return QSeries(out, t)
 
     def mul_poly(self, p: QPoly) -> "QSeries":
-        t = self.truncation
-        out = [0] * (t + 1)
-        for j, y in enumerate(p.coeffs):
-            if y:
-                for i in range(t + 1 - j):
-                    x = self.coeffs[i]
-                    if x:
-                        out[i + j] += x * y
-        return QSeries(out, t)
+        # p's terms past the truncation reach only powers past it; p goes
+        # outside, so the cost is O(nnz(p) * truncation)
+        return QSeries(p.coeffs, self.truncation).mul(self)
 
     def __repr__(self) -> str:
         return f"QSeries({list(self.coeffs)!r}, truncation={self.truncation})"

@@ -687,6 +687,79 @@ def test_verify_rejects_a_child_with_two_tree_edges(tmp_path, capsys,
     assert "tree: not in the form the writer gives it" in err
 
 
+def _reparent_tree_edge(doc):
+    edge = next(e for e in doc["tree"]["edges"] if e["child"] == 5)
+    edge["parent"] = 0 if edge["parent"] else 1
+
+
+def _tree_edge_into_root(doc):
+    edges = doc["tree"]["edges"]
+    edges.insert(0, dict(edges[0], child=0))
+
+
+# the tree edges say nothing the word records' provenance does not: an
+# edge whose parent disagrees with its record, or an edge into the root
+@pytest.mark.parametrize("mutate", [_reparent_tree_edge, _tree_edge_into_root],
+                         ids=["edge-5-parent", "edge-into-root"])
+def test_verify_rejects_tree_edges_apart_from_provenance(tmp_path, capsys,
+                                                         artifacts_33, mutate):
+    rc, _, err = run(capsys, "verify",
+                     damaged(tmp_path, artifacts_33["extra"], mutate))
+    assert rc == 5
+    assert "tree edge" in err
+
+
+@pytest.fixture(scope="module")
+def one_determinant_artifacts(tmp_path_factory):
+    """(2,1) and (1,3) artifacts, whose source shape is one Slater
+    determinant: record 0, the root, is the whole shape set."""
+    texts = {}
+    for n, d in ((2, 1), (1, 3)):
+        out = tmp_path_factory.mktemp(f"one-{n}-{d}")
+        assert main(["gen", "-N", str(n), "-d", str(d),
+                     "--out", str(out)]) == 0
+        texts[n, d] = (out / "shapes.json").read_text()
+    return texts
+
+
+def _relabel_root_as_oracle(root):
+    """A mutation that relabels record 0 as an oracle fill of its one
+    determinant, which replays, and names `root` as the tree's root."""
+    def mutate(doc):
+        [(rows, coef)] = document_from_dict(doc).records[0].slater.items()
+        doc["shapes"][0]["provenance"].update(
+            kind="oracle", rows=[list(r) for r in rows], sign=coef)
+        doc["tree"]["root"] = root
+    return mutate
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (1, 3)])
+def test_verify_accepts_a_one_determinant_artifact(tmp_path, capsys,
+                                                   one_determinant_artifacts,
+                                                   n, d):
+    path = tmp_path / "shapes.json"
+    path.write_text(one_determinant_artifacts[n, d])
+    rc, out, _ = run(capsys, "verify", str(path))
+    assert rc == 0
+    assert f"verified 1 shapes for n={n} d={d}" in out
+
+
+# gen writes the source shape as the root record, and names it the root
+@pytest.mark.parametrize("n,d", [(2, 1), (1, 3)])
+@pytest.mark.parametrize("mutate", [
+    _relabel_root_as_oracle(0),
+    _relabel_root_as_oracle(7),
+    _set(("tree", "root"), 7),
+], ids=["oracle-root", "oracle-root-7", "root-7"])
+def test_verify_rejects_a_root_gen_never_writes(tmp_path, capsys,
+                                                one_determinant_artifacts,
+                                                n, d, mutate):
+    rc, _, err = run(capsys, "verify", damaged(
+        tmp_path, one_determinant_artifacts[n, d], mutate))
+    assert rc == 5
+    assert "tree root is not the root record" in err
+
+
 def test_verify_rejects_an_extra_edge_listed_twice(tmp_path, capsys,
                                                     artifacts_33):
     rc, _, err = run(capsys, "verify", damaged(

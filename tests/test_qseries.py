@@ -240,6 +240,10 @@ def test_qseries_mul_matches_poly_mul():
     b = QSeries([0, 1, 1], 5)
     assert a.mul(b).coeffs == (0, 1, 3, 5, 3, 0)
     assert a.mul_poly(QPoly([0, 1, 1])).coeffs == (0, 1, 3, 5, 3, 0)
+    # terms of p past the truncation reach only powers past it
+    assert a.mul_poly(QPoly([0, 1, 1, 0, 0, 0, 1, 7])).coeffs == (
+        0, 1, 3, 5, 3, 0)
+    assert QSeries([1], 2).mul_poly(QPoly([1, 2, 3, 4])).coeffs == (1, 2, 3)
 
 
 # --- entropy ------------------------------------------------------------
