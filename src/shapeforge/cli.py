@@ -2,11 +2,10 @@
 verification, and state counting.
 
 Exit codes: 0 success, 2 invalid arguments, unreadable or malformed
-input or an unwritable output directory, 3 a grade that the descent
-cannot fill with certified shapes, 4 histogram mismatch (`gen`) or
-state counts that disagree with direct enumeration (`count --oracle`),
-5 artifact verification failure.  Data goes to stdout, diagnostics to
-stderr.
+input, an unwritable output directory or a closed stdout, 3 a grade that
+the descent cannot fill with certified shapes, 4 state counts that
+disagree with direct enumeration (`count --oracle`), 5 artifact
+verification failure.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -26,12 +25,7 @@ from .engine import (
     enumerate_shapes,
     verify_completeness,
 )
-from .multipoly import (
-    _sort_with_sign,
-    slater_basis,
-    slater_normalized,
-    source_slater,
-)
+from .multipoly import slater_basis, slater_normalized, source_slater
 from .qseries import (Statistics, degree_D, shape_entropy, shape_poly,
                       state_count_series)
 from .serialize import (
@@ -49,7 +43,7 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
-EXIT_HISTOGRAM = 4
+EXIT_MISMATCH = 4
 EXIT_VERIFY = 5
 # a d, a shape-polynomial degree d*N(N-1)/2 or a series truncation past any
 # list index sizes something that cannot be formed, so it is refused first
@@ -69,16 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log progress details to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("-N", type=int, required=True, help="particle count")
+    dims.add_argument("-d", type=int, required=True, help="dimension")
 
-    p = sub.add_parser("poly", help="print a shape polynomial")
-    p.add_argument("-N", type=int, required=True, help="particle count")
-    p.add_argument("-d", type=int, required=True, help="dimension")
+    p = sub.add_parser("poly", parents=[dims], help="print a shape polynomial")
+    p.set_defaults(run=cmd_poly)
     p.add_argument("--boson", action="store_true",
                    help="boson statistics (default: fermion)")
 
-    g = sub.add_parser("gen", help="enumerate shapes and write artifacts")
-    g.add_argument("-N", type=int, required=True)
-    g.add_argument("-d", type=int, required=True)
+    g = sub.add_parser("gen", parents=[dims],
+                       help="enumerate shapes and write artifacts")
+    g.set_defaults(run=cmd_gen)
     g.add_argument("--out", default=".", help="output directory")
     g.add_argument("--max-letters", type=int, default=4)
     g.add_argument("--max-amount", type=int, default=3)
@@ -90,11 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--no-verify", action="store_true", help=argparse.SUPPRESS)
 
     v = sub.add_parser("verify", help="re-check a shapes.json artifact")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("path", help="path to shapes.json")
 
-    c = sub.add_parser("count", help="print state counts per grade")
-    c.add_argument("-N", type=int, required=True)
-    c.add_argument("-d", type=int, required=True)
+    c = sub.add_parser("count", parents=[dims],
+                       help="print state counts per grade")
+    c.set_defaults(run=cmd_count)
     c.add_argument("-g", "--max-grade", type=int, required=True)
     c.add_argument("--oracle", action="store_true",
                    help="cross-check each grade by direct enumeration")
@@ -140,15 +137,10 @@ def cmd_gen(args) -> int:
         print(f"enumeration incomplete: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
 
-    # the descent has certified the records; the counts, the ones verify
-    # checks first, run before anything is written, so a failed run leaves
-    # no artifact behind that looks like a finished one
+    # the descent has filled each grade to its count with certified shapes,
+    # or raised before anything is written: a failed run leaves no artifact
+    # behind that looks like a finished one
     doc = document_from_result(result)
-    failure = _check_counts(doc)
-    if failure is not None:
-        print(f"histogram mismatch: {failure}", file=sys.stderr)
-        return EXIT_HISTOGRAM
-
     # each artifact goes to a temp file first and is renamed into place,
     # shapes.json last, so no failure leaves a partial or stray shapes.json;
     # shapes.json is written piece by piece, never held whole
@@ -256,12 +248,9 @@ def _check_records(doc: ShapeDocument) -> str | None:
         else:
             if pv.rows is None:
                 return f"{tag}: oracle provenance missing rows"
-            rows = list(pv.rows)    # distinct, as the loader checked
-            sign = _sort_with_sign(rows)   # the listed order carries it
-            raw = {tuple(rows): sign}
-        if not raw:
-            return f"{tag}: replay gives zero"
-        if slater_normalized(raw) != (coeffs, pv.content, pv.sign):
+            # gen lists an oracle fill's rows ascending, as slater_basis does
+            raw = {pv.rows: 1}
+        if not raw or slater_normalized(raw) != (coeffs, pv.content, pv.sign):
             return f"{tag}: replay does not reproduce the polynomial"
     return None
 
@@ -269,8 +258,9 @@ def _check_records(doc: ShapeDocument) -> str | None:
 def _check_tree(doc: ShapeDocument) -> str | None:
     """The tree's root is the one root record, its edges are exactly the
     word records' (parent, word) provenance, and the extra edges come in
-    gen's order and replay with their signs, in occupation-set coordinates
-    like the records."""
+    gen's order, each (parent, word) pair apart from the tree edges', and
+    replay with their signs, in occupation-set coordinates like the
+    records."""
     roots = [rec.id for rec in doc.records if rec.provenance.kind == "root"]
     if roots != [doc.tree.root]:
         return "tree root is not the root record"
@@ -278,21 +268,24 @@ def _check_tree(doc: ShapeDocument) -> str | None:
                           for rec in doc.records
                           if rec.provenance.kind == "word"}:
         return "tree edges differ from the word records' provenance"
-    ids = {rec.id for rec in doc.records}
+    # _check_records has made the ids dense
+    count = len(doc.records)
+    tree_pairs = set(doc.tree.edges.values())
     previous = ()
     for src, dst, word, sign in doc.tree.extra_edges:
-        if src not in ids or dst not in ids:
+        if not (0 <= src < count and 0 <= dst < count):
             return f"extra edge ({src}, {dst}) references unknown ids"
-        # strictly in the descent's order: grade down, parent, vocabulary
+        # strictly in the descent's order: grade down, parent, vocabulary;
+        # the descent tries each (parent, word) pair once, so no extra edge
+        # restates a tree edge
         key = (-doc.records[dst].grade, src, len(word.word.letters), word)
-        if key <= previous:
+        if key <= previous or (src, word) in tree_pairs:
             return f"extra edge ({src}, {dst}) is out of order or listed twice"
         previous = key
         raw = apply_symword_slater(word, doc.records[src].slater)
-        if not raw:
-            return f"extra edge ({src}, {dst}): replay gives zero"
-        prim, _, rel_sign = slater_normalized(raw)
-        if prim != doc.records[dst].slater or rel_sign != sign:
+        # slater_normalized gives (primitive coefficients, content, sign)
+        if not raw or slater_normalized(raw)[::2] != (
+                doc.records[dst].slater, sign):
             return f"extra edge ({src}, {dst}): replay does not match"
     return None
 
@@ -369,7 +362,7 @@ def cmd_count(args) -> int:
             print(f"{g:4d}  {coeff}")
     if mismatch:
         print("count mismatch against direct enumeration", file=sys.stderr)
-        return EXIT_HISTOGRAM
+        return EXIT_MISMATCH
     return EXIT_OK
 
 
@@ -384,13 +377,15 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.command == "poly":
-        return cmd_poly(args)
-    if args.command == "gen":
-        return cmd_gen(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_count(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the
+        # interpreter's exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail_usage("cannot write to stdout: the reader closed it")
+    return code
 
 
 if __name__ == "__main__":

@@ -125,11 +125,7 @@ class QPoly:
         rem = list(self.coeffs)
         db = other.degree
         lead = other.coeffs[-1]
-        if len(rem) - 1 < db:
-            if any(rem):
-                raise ArithmeticError("inexact polynomial division")
-            return QPoly()
-        out = [0] * (len(rem) - db)
+        out = [0] * (len(rem) - db)     # empty when self is of lower degree
         for i in range(len(out) - 1, -1, -1):
             c = rem[i + db]
             if c % lead:

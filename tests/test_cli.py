@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from shapeforge.cli import main
-from shapeforge.engine import IncompletenessError, enumerate_shapes
+from shapeforge.engine import IncompletenessError
 from shapeforge.multipoly import antisymmetrize
 from shapeforge.serialize import (
     document_from_dict,
@@ -66,6 +66,8 @@ def test_poly_empty_system_is_one(capsys):
 @pytest.mark.parametrize("argv", [
     ("poly", "-N", "-1", "-d", "3"),
     ("poly", "-N", "2", "-d", "0"),
+    ("count", "-N", "0", "-d", "3", "-g", "3"),
+    ("count", "-N", "2", "-d", "0", "-g", "3"),
 ])
 def test_poly_rejects_bad_arguments(capsys, argv):
     rc, _, err = run(capsys, *argv)
@@ -216,21 +218,6 @@ def test_gen_failed_write_leaves_no_artifact(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error: cannot write artifacts to")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tree.dot"]
-
-
-def test_gen_histogram_mismatch_exit_code(tmp_path, capsys, monkeypatch):
-    result = enumerate_shapes(2, 3)
-    last = result.records[-1]
-    doctored = result._replace(
-        records=result.records[:-1] + [last._replace(grade=last.grade + 1)],
-    )
-    monkeypatch.setattr("shapeforge.cli.enumerate_shapes",
-                        lambda n, d, config: doctored)
-    rc, _, err = run(capsys, "gen", "-N", "2", "-d", "3",
-                     "--out", str(tmp_path))
-    assert rc == 4
-    assert "histogram mismatch" in err
-    assert not (tmp_path / "shapes.json").exists()
 
 
 def test_gen_incomplete_enumeration_exit_code(tmp_path, capsys, monkeypatch):
@@ -440,19 +427,64 @@ def _raise_entropy(doc):
     doc["shapes"][1]["entropy"] += 1.0
 
 
-@pytest.mark.parametrize("mutate,message", [
-    (_raise_entropy, "record 1: entropy"),
-    (_set(("shapes", 0, "provenance", "parent"), 1),
+def _copy_fields(src, dst, *fields):
+    """A mutation that gives record dst record src's value of each field."""
+    def mutate(doc):
+        for field in fields:
+            doc["shapes"][dst][field] = doc["shapes"][src][field]
+    return mutate
+
+
+def _restate_tree_edge(doc):
+    # child 1 is at the top grade below the root, so the copy is in order
+    edge = doc["tree"]["edges"][0]
+    doc["tree"]["extra_edges"].insert(0, {
+        "from": edge["parent"], "to": edge["child"], "word": edge["word"],
+        "sign": doc["shapes"][edge["child"]]["provenance"]["sign"]})
+
+
+# each an edit of a (2,3) artifact ("23") or of a (3,3) one, default
+# ("extra") or oracle-filled ("oracle"), that one check rejects (exit 5)
+@pytest.mark.parametrize("key,mutate,message", [
+    ("23", _raise_entropy, "record 1: entropy"),
+    ("23", _set(("shapes", 0, "provenance", "parent"), 1),
      "record 0: root provenance has parent"),
-    (_set(("shapes", 1, "provenance", "kind"), "x"),
+    ("23", _set(("shapes", 1, "provenance", "kind"), "x"),
      "record 1: unknown provenance kind"),
-    (_set(("shapes", 1, "provenance", "kind"), []),
+    ("23", _set(("shapes", 1, "provenance", "kind"), []),
      "record 1: unknown provenance kind"),
-], ids=["entropy", "root-parent", "kind-name", "kind-list"])
-def test_verify_rejects_record_fields(tmp_path, capsys, artifact_text, mutate,
+    ("23", _set(("shapes", 1, "poly"), []), "record 1: zero polynomial"),
+    ("23", _copy_fields(0, 1, "poly"),
+     "record 1: polynomial grade differs"),
+    ("23", _set(("shapes", 0, "provenance", "content"), "2"),
+     "record 0: root does not replay"),
+    ("23", _set(("shapes", 1, "provenance", "parent"), None),
+     "record 1: word provenance missing parent or word"),
+    ("oracle", _set(("shapes", 1, "provenance", "rows"), None),
+     "record 1: oracle provenance missing rows"),
+    ("extra", _set(("tree", "extra_edges", 0, "to"), 99),
+     "references unknown ids"),
+    # t[-9] lowers coordinate 0 past every row: the replay is zero
+    ("23", _set(("shapes", 1, "provenance", "word"), "t[-9]"),
+     "record 1: replay"),
+    ("23", _set(("n",), 0), "invalid dimensions"),
+    # two grade-7 oracle fills with one polynomial: each replays, but the
+    # certificate finds the grade one class short
+    ("oracle", _copy_fields(1, 2, "poly", "provenance"),
+     "completeness: grade 7: normal forms have rank 2 of 3"),
+    # the descent tries each (parent, word) pair once, so a pair is a tree
+    # edge or an extra edge, never both
+    ("extra", _restate_tree_edge, "listed twice"),
+], ids=["entropy", "root-parent", "kind-name", "kind-list", "zero-poly",
+        "poly-of-other-grade", "root-content", "word-no-parent",
+        "oracle-no-rows", "extra-edge-to-99", "word-kills-parent", "n-0",
+        "certificate", "tree-edge-restated"])
+def test_verify_rejects_record_fields(tmp_path, capsys, request, key, mutate,
                                       message):
-    rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
-    assert rc == 5
+    text = (request.getfixturevalue("artifact_text") if key == "23"
+            else request.getfixturevalue("artifacts_33")[key])
+    rc, _, err = run(capsys, "verify", damaged(tmp_path, text, mutate))
+    assert rc == 5, err
     assert message in err
 
 
@@ -642,33 +674,29 @@ def _swap_oracle_rows(doc):
     rows[0], rows[1] = rows[1], rows[0]
 
 
+def _swap_oracle_rows_and_sign(doc):
+    # the swap flips the determinant's sign, and the flipped provenance sign
+    # flips it back; gen lists the rows ascending and verify replays them
+    # as listed, so the record still fails
+    _swap_oracle_rows(doc)
+    _flip_provenance_sign("oracle")(doc)
+
+
 @pytest.mark.parametrize("key,mutate", [
     ("extra", _flip_extra_edge_sign),
     ("extra", _retarget_extra_edge),
     ("extra", _flip_provenance_sign("word")),
     ("oracle", _flip_provenance_sign("oracle")),
     ("oracle", _swap_oracle_rows),
+    ("oracle", _swap_oracle_rows_and_sign),
 ], ids=["extra-edge-sign", "extra-edge-target", "word-sign", "oracle-sign",
-        "oracle-rows-swapped"])
+        "oracle-rows-swapped", "oracle-rows-and-sign"])
 def test_verify_rejects_replay_edits(tmp_path, capsys, artifacts_33, key,
                                      mutate):
     rc, _, err = run(capsys, "verify",
                      damaged(tmp_path, artifacts_33[key], mutate))
     assert rc == 5
     assert "replay" in err
-
-
-def test_verify_replays_oracle_rows_in_any_order(tmp_path, capsys,
-                                                 artifacts_33):
-    # swapping two listed rows flips the determinant's sign, so with the
-    # provenance sign flipped too the record still replays
-    def mutate(doc):
-        _swap_oracle_rows(doc)
-        _flip_provenance_sign("oracle")(doc)
-    rc, out, _ = run(capsys, "verify",
-                     damaged(tmp_path, artifacts_33["oracle"], mutate))
-    assert rc == 0
-    assert "verified 36 shapes for n=3 d=3" in out
 
 
 def _append_copy(*path):
@@ -892,3 +920,25 @@ def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == 0
     assert main([]) == 2
     assert main(["poly", "-N", "2", "-d", "3", "--nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "-N", "3", "-d", "3", "-g", "9", "--oracle"),
+    ("poly", "-N", "3", "-d", "3"),
+], ids=["count", "poly"])
+def test_closed_stdout_exits_2_without_traceback(argv):
+    # a pipe whose read end is closed before the command starts; run in a
+    # child, since pointing fd 1 at devnull here would take pytest's stdout
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "shapeforge.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    assert "error: cannot write to stdout" in child.stderr

@@ -627,6 +627,10 @@ def test_verify_completeness_detects_missing_shape():
     records = enumerate_shapes(2, 3).records
     with pytest.raises(IncompletenessError, match="grade 1"):
         verify_completeness(2, 3, records[:-1])
+    # every grade full, and one record more past the top grade
+    past_top = records[-1]._replace(grade=4)
+    with pytest.raises(IncompletenessError, match="5 shapes, expected 4"):
+        verify_completeness(2, 3, records + [past_top])
 
 
 def test_verify_completeness_detects_symmetric_multiple():

@@ -79,6 +79,10 @@ def test_qpoly_exact_div_detects_remainder():
     assert num.exact_div(QPoly([1, -1])).coeffs == (1, 1, 1)
     with pytest.raises(ArithmeticError):
         QPoly([1, 1]).exact_div(QPoly([1, -1]))
+    # a dividend of lower degree than the divisor
+    with pytest.raises(ArithmeticError):
+        QPoly([1]).exact_div(QPoly([0, 1]))
+    assert QPoly().exact_div(QPoly([0, 1])) == QPoly()
     with pytest.raises(ArithmeticError):
         QPoly([3, 3]).exact_div_int(2)
 
