@@ -24,6 +24,7 @@ from .engine import (
     IncompletenessError,
     enumerate_shapes,
     verify_completeness,
+    word_order,
 )
 from .multipoly import slater_basis, slater_normalized, source_slater
 from .qseries import (Statistics, degree_D, shape_entropy, shape_poly,
@@ -278,7 +279,7 @@ def _check_tree(doc: ShapeDocument) -> str | None:
         # strictly in the descent's order: grade down, parent, vocabulary;
         # the descent tries each (parent, word) pair once, so no extra edge
         # restates a tree edge
-        key = (-doc.records[dst].grade, src, len(word.word.letters), word)
+        key = (-doc.records[dst].grade, src, word_order(word))
         if key <= previous or (src, word) in tree_pairs:
             return f"extra edge ({src}, {dst}) is out of order or listed twice"
         previous = key

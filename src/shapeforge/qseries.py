@@ -6,6 +6,10 @@ q^g coefficient counts the shape-module generators of grade g, and the
 full state count factorizes as Z_d(N,q) = Z_E(N,q)^d * P_d(N,q) where
 Z_E(N,q) = prod_{k=1..N} 1/(1-q^k).
 
+Both divide a coefficient list by (1-q^k) in place (_divide_one_minus_qk):
+each C-quotient of the shape-polynomial recursion once, the state counts
+d times for each part size k.
+
 All arithmetic is exact; the only floating-point output in the package
 is the entropy (a logarithm of a coefficient).
 """
@@ -118,27 +122,6 @@ class QPoly:
             n >>= 1
         return result
 
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        """Exact polynomial division; raises ArithmeticError on any remainder."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        db = other.degree
-        lead = other.coeffs[-1]
-        out = [0] * (len(rem) - db)     # empty when self is of lower degree
-        for i in range(len(out) - 1, -1, -1):
-            c = rem[i + db]
-            if c % lead:
-                raise ArithmeticError("inexact polynomial division")
-            q = c // lead
-            out[i] = q
-            if q:
-                for j, y in enumerate(other.coeffs):
-                    rem[i + j] -= q * y
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        return QPoly(out)
-
     def exact_div_int(self, k: int) -> "QPoly":
         if any(c % k for c in self.coeffs):
             raise ArithmeticError(f"coefficients not divisible by {k}")
@@ -169,7 +152,11 @@ class QPoly:
 
 
 class QSeries:
-    """Truncated power series in q: coefficients for powers 0..truncation."""
+    """Truncated power series in q: coefficients for powers 0..truncation.
+
+    A coefficient past the truncation is unknown, not zero, so asking for
+    one raises IndexError.
+    """
 
     __slots__ = ("coeffs", "truncation")
 
@@ -191,39 +178,37 @@ class QSeries:
             and self.coeffs == other.coeffs
         )
 
-    def mul(self, other: "QSeries") -> "QSeries":
-        if other.truncation != self.truncation:
-            raise ValueError("truncation mismatch")
-        t = self.truncation
-        out = [0] * (t + 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j in range(t + 1 - i):
-                    y = other.coeffs[j]
-                    if y:
-                        out[i + j] += x * y
-        return QSeries(out, t)
-
-    def mul_poly(self, p: QPoly) -> "QSeries":
-        # p's terms past the truncation reach only powers past it; p goes
-        # outside, so the cost is O(nnz(p) * truncation)
-        return QSeries(p.coeffs, self.truncation).mul(self)
-
     def __repr__(self) -> str:
         return f"QSeries({list(self.coeffs)!r}, truncation={self.truncation})"
+
+
+def _divide_one_minus_qk(c: list, k: int, times: int = 1) -> None:
+    """Divide the power series with coefficients c by (1-q^k)^times in
+    place, up to len(c): the quotient's q^i coefficient is c[i] plus the
+    quotient's q^(i-k) coefficient."""
+    for _ in range(times):
+        for i in range(k, len(c)):
+            c[i] += c[i - k]
 
 
 def c_poly(n: int, k: int) -> QPoly:
     """Building-block quotient (1-q^n)...(1-q^(n-k+1)) / (1-q^k).
 
     Always a polynomial of degree k(2n-k-1)/2; the division is exact.
+    The numerator's degree is the quotient's plus k, so the series
+    quotient up to that degree is a polynomial exactly when its last k
+    coefficients are zero: past the numerator, each repeats the one k below.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
     num = QPoly.one()
     for j in range(n - k + 1, n + 1):
         num = num * (QPoly.one() - QPoly.monomial(j))
-    return num.exact_div(QPoly.one() - QPoly.monomial(k))
+    c = list(num.coeffs)
+    _divide_one_minus_qk(c, k)
+    if any(c[-k:]):
+        raise ArithmeticError(f"(1-q^{k}) does not divide the numerator")
+    return QPoly(c[:-k])
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,8 +271,7 @@ def ze_series(n: int, truncation: int) -> QSeries:
     c = [0] * (truncation + 1)
     c[0] = 1
     for k in range(1, min(n, truncation) + 1):
-        for i in range(k, truncation + 1):
-            c[i] += c[i - k]
+        _divide_one_minus_qk(c, k)
     return QSeries(c, truncation)
 
 
@@ -295,13 +279,16 @@ def state_count_series(n: int, d: int, truncation: int) -> QSeries:
     """Fermion state count Z_d(N,q) = Z_E(N,q)^d * P_d(N,q), truncated.
 
     The q^g coefficient counts n-element sets of pairwise distinct
-    d-tuples of nonnegative integers with total sum g.
+    d-tuples of nonnegative integers with total sum g.  Costs
+    O(min(N, truncation) * d * truncation) additions.
     """
-    ze = ze_series(n, truncation)
-    acc = QSeries([1], truncation)
-    for _ in range(d):
-        acc = acc.mul(ze)
-    return acc.mul_poly(shape_poly(n, d, Statistics.FERMION))
+    if n < 0 or truncation < 0:
+        raise ValueError("n and truncation must be nonnegative")
+    c = list(QSeries(shape_poly(n, d, Statistics.FERMION).coeffs,
+                     truncation).coeffs)
+    for k in range(1, min(n, truncation) + 1):
+        _divide_one_minus_qk(c, k, d)
+    return QSeries(c, truncation)
 
 
 def mirror_check(n: int, d: int) -> bool:

@@ -46,10 +46,10 @@ from shapeforge.multipoly import (
 )
 from shapeforge.qseries import (
     Statistics,
+    _divide_one_minus_qk,
     degree_D,
     shape_poly,
     state_count_series,
-    ze_series,
 )
 from shapeforge.shiftops import (
     SymWord,
@@ -153,10 +153,11 @@ def test_generator_monomial_counts_match_partition_series():
     # monomials of weighted degree k in e_1..e_n per coordinate are
     # d-fold products of partitions with parts at most n
     n, d = 3, 3
-    ze = ze_series(n, 8)
-    cube = ze.mul(ze).mul(ze)
+    cube = [1] + [0] * 8        # Z_E(n,q)^d, truncated at q^8
+    for k in range(1, n + 1):
+        _divide_one_minus_qk(cube, k, d)
     for k in range(7):
-        assert len(generator_monomials(n, d, k)) == cube.coeff(k)
+        assert len(generator_monomials(n, d, k)) == cube[k]
     assert generator_monomials(2, 1, 0) == [(0, 0)]
 
 

@@ -6,8 +6,8 @@ import pytest
 from shapeforge.qseries import (
     NoShapeAtGradeError,
     QPoly,
-    QSeries,
     Statistics,
+    _divide_one_minus_qk,
     c_poly,
     degree_D,
     ground_grade,
@@ -75,14 +75,6 @@ def test_qpoly_arithmetic():
 
 
 def test_qpoly_exact_div_detects_remainder():
-    num = QPoly([1, 0, 0, -1])  # 1 - q^3
-    assert num.exact_div(QPoly([1, -1])).coeffs == (1, 1, 1)
-    with pytest.raises(ArithmeticError):
-        QPoly([1, 1]).exact_div(QPoly([1, -1]))
-    # a dividend of lower degree than the divisor
-    with pytest.raises(ArithmeticError):
-        QPoly([1]).exact_div(QPoly([0, 1]))
-    assert QPoly().exact_div(QPoly([0, 1])) == QPoly()
     with pytest.raises(ArithmeticError):
         QPoly([3, 3]).exact_div_int(2)
 
@@ -95,6 +87,18 @@ def test_qpoly_str():
 
 
 # --- C-quotients --------------------------------------------------------
+
+def test_divide_one_minus_qk_in_place():
+    c = [1, 0, 0, -1]           # (1 - q^3) / (1 - q) = 1 + q + q^2
+    _divide_one_minus_qk(c, 1)
+    assert c == [1, 1, 1, 0]
+    c = [1, 1, 0, 0, 0]         # (1 + q) / (1 - q^2): a remainder never dies out
+    _divide_one_minus_qk(c, 2)
+    assert c == [1, 1, 1, 1, 1]
+    c = [1, 0, 0, 0, 0, 0]      # 1 / (1 - q^2)^2
+    _divide_one_minus_qk(c, 2, 2)
+    assert c == [1, 0, 2, 0, 3, 0]
+
 
 def test_c_poly_frozen_small_cases():
     # (1-q^3)/(1-q) and (1-q^3)(1-q^2)/(1-q^2) worked out by hand
@@ -166,6 +170,8 @@ def test_degree_laws():
             bos = shape_poly(n, d, B)
             low = ferm.lowest_power() if n >= 1 else 0
             if d % 2 == 1:
+                # the top grade holds the source shape alone
+                assert ferm.coeff(top) == 1
                 assert ferm.degree == top
                 assert bos.degree == top - low
             else:
@@ -230,6 +236,9 @@ def test_state_count_golden_3838():
     assert s.coeff(9) == 3838
     assert s.coeff(2) == 3
     assert s.coeffs == (0, 0, 3, 19, 63, 180, 443, 978, 1998, 3838)
+    for n, truncation in ((3, -1), (-1, 9)):
+        with pytest.raises(ValueError):
+            state_count_series(n, 3, truncation)
 
 
 def test_state_count_against_brute_force():
@@ -239,15 +248,15 @@ def test_state_count_against_brute_force():
             assert s.coeff(g) == brute_state_count(n, d, g), (n, d, g)
 
 
-def test_qseries_mul_matches_poly_mul():
-    a = QSeries([1, 2, 3], 5)
-    b = QSeries([0, 1, 1], 5)
-    assert a.mul(b).coeffs == (0, 1, 3, 5, 3, 0)
-    assert a.mul_poly(QPoly([0, 1, 1])).coeffs == (0, 1, 3, 5, 3, 0)
-    # terms of p past the truncation reach only powers past it
-    assert a.mul_poly(QPoly([0, 1, 1, 0, 0, 0, 1, 7])).coeffs == (
-        0, 1, 3, 5, 3, 0)
-    assert QSeries([1], 2).mul_poly(QPoly([1, 2, 3, 4])).coeffs == (1, 2, 3)
+def test_state_count_closed_forms_to_grade_2000():
+    # one particle: d-tuples summing to g; two particles on a line: pairs
+    # a < b with a + b = g
+    for d in range(1, 6):
+        s = state_count_series(1, d, 2000)
+        assert s.coeffs == tuple(math.comb(g + d - 1, d - 1)
+                                 for g in range(2001)), d
+    s = state_count_series(2, 1, 2000)
+    assert s.coeffs == tuple((g + 1) // 2 for g in range(2001))
 
 
 # --- entropy ------------------------------------------------------------
