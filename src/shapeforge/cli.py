@@ -196,63 +196,58 @@ def _check_counts(doc: ShapeDocument) -> str | None:
     return None
 
 
-# the provenance fields that gen never writes for a record of each kind
-_FOREIGN_PROVENANCE = {
-    "root": ("parent", "word", "rows"),
-    "word": ("rows",),
-    "oracle": ("parent", "word"),
-}
+# the provenance fields gen writes for a record of each kind; the others
+# are null
+_PROVENANCE_FIELDS = {"root": (), "word": ("parent", "word"),
+                      "oracle": ("rows",)}
 
 
 def _check_records(doc: ShapeDocument) -> str | None:
-    """Each record is a canonical antisymmetric shape of its grade, carries
-    that grade's entropy, and replays from its provenance, which holds only
-    its kind's fields, in occupation-set coordinates: a word acts on the
-    parent's Slater coefficients as in the descent."""
+    """Each record holds its kind's provenance fields, comes in gen's order
+    and is the replay of its provenance, in occupation-set coordinates: the
+    source shape, a word acting on the parent's Slater coefficients as in
+    the descent, or one determinant.  A nonzero replay is antisymmetric,
+    homogeneous in each coordinate and canonical by construction, and each
+    parent is checked before its children, so the one comparison decides
+    the polynomial; its grade and entropy follow."""
     n, d = doc.n, doc.d
+    previous = ()
     for idx, rec in enumerate(doc.records):
         tag = f"record {rec.id}"
         if rec.id != idx:
             return f"{tag}: ids are not dense and ascending"
-        if rec.slater == {}:
-            return f"{tag}: zero polynomial"
-        try:
-            coeffs = rec.checked_slater()
-        except ValueError as exc:
-            return str(exc)
+        pv = rec.provenance
+        if not isinstance(pv.kind, str) or pv.kind not in _PROVENANCE_FIELDS:
+            return f"{tag}: unknown provenance kind {pv.kind!r}"
+        held = tuple(f for f in ("parent", "word", "rows")
+                     if getattr(pv, f) is not None)
+        if held != _PROVENANCE_FIELDS[pv.kind]:
+            return (f"{tag}: {pv.kind} provenance has fields {list(held)}, "
+                    f"gen writes {list(_PROVENANCE_FIELDS[pv.kind])}")
+        # the key orders records as gen writes them: grade down, then the
+        # root, the word records in the descent's candidate order and the
+        # oracle fills by rows, each listed ascending, as slater_basis does
+        if pv.kind == "root":
+            key, raw = (-rec.grade, -1), source_slater(n, d)
+        elif pv.kind == "word":
+            if not 0 <= pv.parent < rec.id:
+                return f"{tag}: parent id out of range"
+            key = (-rec.grade, 0, pv.parent, word_order(pv.word))
+            raw = apply_symword_slater(pv.word, doc.records[pv.parent].slater)
+        else:
+            key, raw = (-rec.grade, 1, pv.rows), {pv.rows: 1}
+        if key <= previous:
+            return f"{tag}: out of gen's order or listed twice"
+        previous = key
+        if not raw or slater_normalized(raw) != (rec.slater, pv.content,
+                                                 pv.sign):
+            return f"{tag}: replay does not reproduce the polynomial"
         # Alt(rows) is homogeneous of grade sum(rows)
-        if sum(map(sum, next(iter(coeffs)))) != rec.grade:
+        if sum(map(sum, next(iter(rec.slater)))) != rec.grade:
             return f"{tag}: polynomial grade differs from the stated grade"
         # _check_counts has matched every grade to a shape-polynomial term
         if rec.entropy != shape_entropy(n, d, rec.grade):
             return f"{tag}: entropy differs from the log of its grade's count"
-        if slater_normalized(coeffs)[1:] != (1, 1):
-            return f"{tag}: polynomial is not in canonical form"
-        pv = rec.provenance
-        if not isinstance(pv.kind, str) or pv.kind not in _FOREIGN_PROVENANCE:
-            return f"{tag}: unknown provenance kind {pv.kind!r}"
-        foreign = [f for f in _FOREIGN_PROVENANCE[pv.kind]
-                   if getattr(pv, f) is not None]
-        if foreign:
-            return f"{tag}: {pv.kind} provenance has {', '.join(foreign)}"
-        if pv.kind == "root":
-            if (pv.content != 1 or pv.sign != 1
-                    or coeffs != source_slater(n, d)):
-                return f"{tag}: root does not replay to the source shape"
-            continue
-        if pv.kind == "word":
-            if pv.parent is None or pv.word is None:
-                return f"{tag}: word provenance missing parent or word"
-            if not 0 <= pv.parent < rec.id:
-                return f"{tag}: parent id out of range"
-            raw = apply_symword_slater(pv.word, doc.records[pv.parent].slater)
-        else:
-            if pv.rows is None:
-                return f"{tag}: oracle provenance missing rows"
-            # gen lists an oracle fill's rows ascending, as slater_basis does
-            raw = {pv.rows: 1}
-        if not raw or slater_normalized(raw) != (coeffs, pv.content, pv.sign):
-            return f"{tag}: replay does not reproduce the polynomial"
     return None
 
 

@@ -709,14 +709,14 @@ def verify_completeness(
     """Certify that records form a basis of the antisymmetric module.
 
     records must be antisymmetric and homogeneous of their stated grades
-    (enumerate_shapes builds them so; `shapeforge verify` checks both
-    first).  They form an R-basis iff, at every grade g, there are exactly
-    shape_poly(n, d).coeff(g) of them and their normal forms modulo the
-    coinvariant ideal are linearly independent (Chevalley plus graded
-    Nakayama; see the module docstring), and n!^(d-1) in all.  Returns
-    (grade, expected, rank) triples for grades 0..top, where expected is
-    the shape-polynomial coefficient and rank that of the normal forms;
-    any deficit raises IncompletenessError naming the grade.
+    (enumerate_shapes builds them so; in `shapeforge verify` each record's
+    replay guarantees both).  They form an R-basis iff, at every grade g,
+    there are exactly shape_poly(n, d).coeff(g) of them and their normal
+    forms modulo the coinvariant ideal are linearly independent (Chevalley
+    plus graded Nakayama; see the module docstring), and n!^(d-1) in all.
+    Returns (grade, expected, rank) triples for grades 0..top, where
+    expected is the shape-polynomial coefficient and rank that of the
+    normal forms; any deficit raises IncompletenessError naming the grade.
     """
     top = degree_D(d, n)
     poly = shape_poly(n, d, Statistics.FERMION)

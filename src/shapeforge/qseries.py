@@ -263,18 +263,6 @@ def min_fill_grade(d: int, n: int) -> int:
     return total
 
 
-def ze_series(n: int, truncation: int) -> QSeries:
-    """Single-coordinate state count Z_E(N,q) = prod_{k=1..N} 1/(1-q^k),
-    truncated: q^g counts partitions of g into parts <= min(N, truncation)."""
-    if n < 0 or truncation < 0:
-        raise ValueError("n and truncation must be nonnegative")
-    c = [0] * (truncation + 1)
-    c[0] = 1
-    for k in range(1, min(n, truncation) + 1):
-        _divide_one_minus_qk(c, k)
-    return QSeries(c, truncation)
-
-
 def state_count_series(n: int, d: int, truncation: int) -> QSeries:
     """Fermion state count Z_d(N,q) = Z_E(N,q)^d * P_d(N,q), truncated.
 

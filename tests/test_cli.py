@@ -342,7 +342,7 @@ def test_verify_rejects_negated_shape(tmp_path, capsys, artifact_text):
             term["coef"] = str(-int(term["coef"]))
     rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
     assert rc == 5
-    assert "record 1: polynomial is not in canonical form" in err
+    assert "record 1: replay does not reproduce the polynomial" in err
 
 
 def test_verify_rejects_record_spanning_two_multidegrees(tmp_path, capsys,
@@ -359,7 +359,7 @@ def test_verify_rejects_record_spanning_two_multidegrees(tmp_path, capsys,
     rc, _, err = run(capsys, "verify",
                      damaged(tmp_path, artifacts_33["extra"], mutate))
     assert rc == 5
-    assert "not homogeneous in each coordinate" in err
+    assert "replay does not reproduce the polynomial" in err
 
 
 def test_verify_rejects_relabeled_grade(tmp_path, capsys, artifact_text):
@@ -376,7 +376,7 @@ def test_verify_rejects_word_record_with_rows(tmp_path, capsys, artifacts_33):
     rc, _, err = run(capsys, "verify",
                      damaged(tmp_path, artifacts_33["oracle"], mutate))
     assert rc == 5
-    assert "word provenance has rows" in err
+    assert "word provenance has fields ['parent', 'word', 'rows']" in err
 
 
 def _at(doc, path):
@@ -435,6 +435,40 @@ def _copy_fields(src, dst, *fields):
     return mutate
 
 
+def _refill_oracle(k, rows):
+    """A mutation that makes oracle fill k the one determinant of rows, as
+    gen would write it: the term list of its canonical form, and its
+    sign."""
+    def mutate(doc):
+        prim, _, sign = antisymmetrize(list(rows)).normalized()
+        shape = doc["shapes"][k]
+        shape["provenance"].update(rows=[list(r) for r in rows], sign=sign)
+        shape["poly"] = [{"exp": list(mono), "coef": str(prim.terms[mono])}
+                         for mono in sorted(prim.terms, reverse=True)]
+    return mutate
+
+
+def _reorder(*ids):
+    """A mutation that writes records ids in the order given, in the places
+    they held, and renumbers every reference to them, the tree's included:
+    each record still replays, only gen's order is broken."""
+    def mutate(doc):
+        new = dict(zip(ids, sorted(ids)))
+        shapes, tree = doc["shapes"], doc["tree"]
+        for old, moved in [(i, shapes[i]) for i in ids]:
+            shapes[new[old]] = moved
+        refs = ([(s, "id") for s in shapes]
+                + [(s["provenance"], "parent") for s in shapes]
+                + [(e, end) for e in tree["edges"] for end in ("child",
+                                                               "parent")]
+                + [(e, end) for e in tree["extra_edges"] for end in ("from",
+                                                                     "to")])
+        for obj, key in refs:
+            obj[key] = new.get(obj[key], obj[key])
+        tree["edges"].sort(key=lambda edge: edge["child"])
+    return mutate
+
+
 def _restate_tree_edge(doc):
     # child 1 is at the top grade below the root, so the copy is in order
     edge = doc["tree"]["edges"][0]
@@ -448,37 +482,47 @@ def _restate_tree_edge(doc):
 @pytest.mark.parametrize("key,mutate,message", [
     ("23", _raise_entropy, "record 1: entropy"),
     ("23", _set(("shapes", 0, "provenance", "parent"), 1),
-     "record 0: root provenance has parent"),
+     "record 0: root provenance has fields ['parent'], gen writes []"),
     ("23", _set(("shapes", 1, "provenance", "kind"), "x"),
      "record 1: unknown provenance kind"),
     ("23", _set(("shapes", 1, "provenance", "kind"), []),
      "record 1: unknown provenance kind"),
-    ("23", _set(("shapes", 1, "poly"), []), "record 1: zero polynomial"),
-    ("23", _copy_fields(0, 1, "poly"),
-     "record 1: polynomial grade differs"),
+    ("23", _set(("shapes", 1, "poly"), []), "record 1: replay"),
+    ("23", _copy_fields(0, 1, "poly"), "record 1: replay"),
+    # a grade-6 determinant in gen's place for a grade-7 one: it replays
+    ("oracle", _refill_oracle(2, ((0, 0, 0), (0, 0, 1), (5, 0, 0))),
+     "record 2: polynomial grade differs from the stated grade"),
     ("23", _set(("shapes", 0, "provenance", "content"), "2"),
-     "record 0: root does not replay"),
+     "record 0: replay"),
     ("23", _set(("shapes", 1, "provenance", "parent"), None),
-     "record 1: word provenance missing parent or word"),
+     "record 1: word provenance has fields ['word'], "
+     "gen writes ['parent', 'word']"),
     ("oracle", _set(("shapes", 1, "provenance", "rows"), None),
-     "record 1: oracle provenance missing rows"),
+     "record 1: oracle provenance has fields [], gen writes ['rows']"),
     ("extra", _set(("tree", "extra_edges", 0, "to"), 99),
      "references unknown ids"),
     # t[-9] lowers coordinate 0 past every row: the replay is zero
     ("23", _set(("shapes", 1, "provenance", "word"), "t[-9]"),
      "record 1: replay"),
     ("23", _set(("n",), 0), "invalid dimensions"),
-    # two grade-7 oracle fills with one polynomial: each replays, but the
-    # certificate finds the grade one class short
-    ("oracle", _copy_fields(1, 2, "poly", "provenance"),
+    # a grade-7 oracle fill in the coinvariant ideal: it replays and keeps
+    # gen's order, but the certificate finds the grade one class short
+    ("oracle", _refill_oracle(2, ((0, 0, 0), (0, 0, 1), (6, 0, 0))),
      "completeness: grade 7: normal forms have rank 2 of 3"),
     # the descent tries each (parent, word) pair once, so a pair is a tree
     # edge or an extra edge, never both
     ("extra", _restate_tree_edge, "listed twice"),
+    # gen writes records grade down: the root, then each grade's word
+    # records in the descent's candidate order, then its oracle fills by
+    # rows; each reordered record still replays
+    ("extra", _reorder(8, 7), "record 8: out of gen's order"),
+    ("oracle", _reorder(2, 1), "record 2: out of gen's order"),
+    ("oracle", _reorder(35, 33, 34), "record 34: out of gen's order"),
 ], ids=["entropy", "root-parent", "kind-name", "kind-list", "zero-poly",
-        "poly-of-other-grade", "root-content", "word-no-parent",
-        "oracle-no-rows", "extra-edge-to-99", "word-kills-parent", "n-0",
-        "certificate", "tree-edge-restated"])
+        "poly-of-other-grade", "oracle-fill-of-other-grade", "root-content",
+        "word-no-parent", "oracle-no-rows", "extra-edge-to-99",
+        "word-kills-parent", "n-0", "certificate", "tree-edge-restated",
+        "leaf-words-swapped", "oracle-fills-swapped", "oracle-fill-first"])
 def test_verify_rejects_record_fields(tmp_path, capsys, request, key, mutate,
                                       message):
     text = (request.getfixturevalue("artifact_text") if key == "23"

@@ -262,6 +262,9 @@ def test_source_slater_is_the_expanded_source_shape(n, d, sign):
     # with every coordinate in particle order carries it
     assert coeffs[tuple((i,) * d for i in range(n))] == sign
     assert set(coeffs.values()) <= {1, -1}
+    # canonical already: verify compares the root record with it as its
+    # replay, like every other record
+    assert slater_normalized(coeffs) == (coeffs, 1, 1)
 
 
 def test_source_slater_rejects_even_d():

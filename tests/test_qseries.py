@@ -17,7 +17,6 @@ from shapeforge.qseries import (
     shape_entropy,
     shape_poly,
     state_count_series,
-    ze_series,
 )
 
 F = Statistics.FERMION
@@ -210,23 +209,21 @@ def test_ground_grade_against_shell_filling():
 
 # --- series -------------------------------------------------------------
 
-def test_ze_series_against_partition_oracle():
-    s = ze_series(2, 4)
-    assert s.coeffs == (1, 1, 2, 2, 3)
-    for n in (1, 2, 3, 5, 12):
-        s = ze_series(n, 10)
-        for g in range(11):
-            assert s.coeff(g) == brute_partition_count(g, n)
+def test_state_count_series_d1_against_partition_oracle():
+    # n distinct nonnegative integers summing to g are 0, 1, ..., n-1 plus
+    # a partition of g - n(n-1)/2 into at most n parts, that is, into parts
+    # <= n
+    assert state_count_series(2, 1, 5).coeffs == (0, 1, 1, 2, 2, 3)
+    for n in (1, 2, 3, 5):
+        s = state_count_series(n, 1, 14)
+        floor = n * (n - 1) // 2
+        for g in range(15):
+            expected = brute_partition_count(g - floor, n) if g >= floor else 0
+            assert s.coeff(g) == expected
 
 
-def test_ze_series_parts_above_the_truncation_add_nothing():
-    # only parts up to the truncation are looped over, so a huge n costs
-    # what n = truncation costs, and the series is the same
-    assert ze_series(10**20, 6) == ze_series(11, 6) == ze_series(6, 6)
-
-
-def test_ze_series_truncation_guard():
-    s = ze_series(3, 4)
+def test_state_count_series_truncation_guard():
+    s = state_count_series(3, 1, 4)
     with pytest.raises(IndexError):
         s.coeff(5)
 
