@@ -71,15 +71,16 @@ Ostlund, Modern Quantum Chemistry, ch. 2).  R and every shape are
 homogeneous in each coordinate separately, so the linear system splits
 into independent blocks, one per multidegree; only the products in the
 target's blocks are built, and each set's image under a generator is
-worked out once per call, in one table per generator.  Images, products
-and equations are keyed by interned set ids, not by tuples of rows.
+worked out once per process, in multipoly's occupation-set table, which
+every call and every (n, d) share.  Images, products and equations are
+keyed by interned set ids, not by tuples of rows.
 Each block is solved on its own, transposed: one equation per occupation
 set, the block's products as unknowns and the target's coefficients as
 the right-hand side, eliminated by exactla's one kernel and
 back-substituted over one common denominator.  The shapes must be a
 basis, so the products are independent and the solution is unique.
 assemble, the way back, builds the same products through the same helper
-and maps the ids back to rows once, to expand their sum.
+and table, and maps the ids back to rows once, to expand their sum.
 """
 
 from __future__ import annotations
@@ -94,8 +95,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .exactla import SparseIntMatrix
 from .multipoly import (
+    DimensionMismatchError,
     MPoly,
     OddDimensionRequiredError,
+    _sets,
     _sort_with_sign,
     intern_sets,
     slater_basis,
@@ -248,6 +251,15 @@ class ShapeRecord(NamedTuple):
             raise ValueError(f"record {self.id}: no polynomial to expand")
         rows = next(iter(self.slater))
         return slater_to_poly(self.slater, len(rows), len(rows[0]))
+
+    def check_space(self, n: int, d: int) -> None:
+        """DimensionMismatchError unless the record's occupation sets have
+        n rows of d entries, read off one set."""
+        rows = next(iter(self.slater or ()), None)
+        if rows is not None and (len(rows), len(rows[0])) != (n, d):
+            raise DimensionMismatchError(
+                f"record {self.id} is over (n={len(rows)},d={len(rows[0])}), "
+                f"not (n={n},d={d})")
 
     def checked_slater(self) -> dict[tuple, int]:
         """slater, once it is known to be antisymmetric and homogeneous in
@@ -555,13 +567,12 @@ def _rising_monomials(per_rise: Sequence[list[tuple]], degree: tuple,
             yield sum(parts, ())
 
 
-def _product(coeffs: dict[int, int], gexp: tuple, n: int, products: dict,
-             lifts: dict, sets: list[tuple], ids: dict) -> dict[int, int]:
-    """The generator monomial gexp times sum(coeff * Alt(sets[i])) on
+def _product(coeffs: dict[int, int], gexp: tuple, n: int,
+             products: dict) -> dict[int, int]:
+    """The generator monomial gexp times sum(coeff * Alt(_sets[i])) on
     interned sets, one elementary symmetric generator at a time
     (slater_times_elementary).  products holds this shape's products by
-    monomial and lifts each generator's set images; both fill as they are
-    met, for one call."""
+    monomial; it fills as they are met, for one call."""
     got = products.get(gexp)
     if got is None:
         i = next((i for i, e in enumerate(gexp) if e), None)
@@ -571,8 +582,7 @@ def _product(coeffs: dict[int, int], gexp: tuple, n: int, products: dict,
             reduced = gexp[:i] + (gexp[i] - 1,) + gexp[i + 1:]
             c, j = divmod(i, n)
             got = slater_times_elementary(
-                _product(coeffs, reduced, n, products, lifts, sets, ids),
-                c, j + 1, lifts.setdefault(i, {}), sets, ids)
+                _product(coeffs, reduced, n, products), c, j + 1)
         products[gexp] = got
     return got
 
@@ -797,7 +807,8 @@ def express_in_basis(
     each interned as an integer id when first met.  The products are
     homogeneous in each coordinate separately, so the system splits into one
     block per multidegree; only the products in psi's blocks are built, and
-    each set's image under a generator is worked out once per call.  Each
+    each set's image under a generator is worked out once per process
+    (multipoly's occupation-set table), so later calls reuse it.  Each
     block is one SparseIntMatrix: a row per occupation set, a column per
     product (the unknowns, sparsest product first) and psi's coefficient on
     that set in the column past them.  Forward elimination takes the
@@ -810,11 +821,15 @@ def express_in_basis(
 
     Records must be antisymmetric and homogeneous in each coordinate, as
     enumerate_shapes and `shapeforge verify` guarantee.  A record that is
-    not, a psi that is not antisymmetric, and one over other variables
-    than (n, d) raise ValueError; ShapeRecord.checked_slater checks each
-    record, and slater_coefficients psi's antisymmetry as it reads it.
+    not and a psi that is not antisymmetric raise ValueError;
+    ShapeRecord.checked_slater checks each record the solve reads, and
+    slater_coefficients psi's antisymmetry as it reads it.  A psi or any
+    record over other variables than (n, d) raises DimensionMismatchError
+    (ShapeRecord.check_space for the records).
     """
     psi._check_same_space(MPoly.zero(n, d))
+    for rec in records:
+        rec.check_space(n, d)
     out: list[dict[tuple, Fraction]] = [{} for _ in records]
     if psi.is_zero():
         return out
@@ -828,24 +843,21 @@ def express_in_basis(
     if g > degree_D(d, n):
         raise ValueError(f"grade {g} beyond the verified range")
 
-    sets, ids = [], {}   # occupation sets by id, and back (intern_sets)
     targets: dict[tuple, dict[int, int]] = {}
-    for sid, c in intern_sets(target_sets, sets, ids).items():
-        targets.setdefault(_multidegree(sets[sid]), {})[sid] = c
+    for sid, c in intern_sets(target_sets).items():
+        targets.setdefault(_multidegree(_sets[sid]), {})[sid] = c
     # only the generator monomials that take a shape into one of psi's blocks
     per_rise = [generator_monomials(n, 1, k) for k in range(g + 1)]
     recipes: dict[tuple, list] = {block: [] for block in targets}
-    lifts: dict[int, dict[int, list]] = {}
     for idx, rec in enumerate(records):
         if rec.grade > g:
             continue
-        coeffs = intern_sets(rec.checked_slater(), sets, ids)
-        degree = _multidegree(sets[next(iter(coeffs))])
+        coeffs = intern_sets(rec.checked_slater())
+        degree = _multidegree(_sets[next(iter(coeffs))])
         products: dict[tuple, dict] = {}
         for block, here in recipes.items():
             for gexp in _rising_monomials(per_rise, degree, block):
-                here.append((idx, gexp, _product(coeffs, gexp, n, products,
-                                                 lifts, sets, ids)))
+                here.append((idx, gexp, _product(coeffs, gexp, n, products)))
 
     for block, target in targets.items():
         # one equation per occupation set, one unknown per product and the
@@ -878,19 +890,18 @@ def assemble(
 ) -> MPoly:
     """Evaluate sum_i Phi_i * Psi_i back in the particle variables: the
     products of express_in_basis, summed on Slater coefficients.  One Phi
-    per record, keyed by exponent tuples of length n * d, or ValueError."""
+    per record, keyed by exponent tuples of length n * d, or ValueError;
+    a record over other (n, d) raises DimensionMismatchError."""
     acc: dict[int, Fraction] = {}
-    sets, ids = [], {}
-    lifts: dict[int, dict[int, list]] = {}
     for rec, phi in zip(records, phis, strict=True):
+        rec.check_space(n, d)
         if any(len(gexp) != n * d for gexp in phi):
             raise ValueError(f"phi {rec.id}: exponents not of length {n * d}")
         terms = [(gexp, coeff) for gexp, coeff in phi.items() if coeff]
-        coeffs = intern_sets(rec.checked_slater(), sets, ids) if terms else {}
+        coeffs = intern_sets(rec.checked_slater()) if terms else {}
         products: dict[tuple, dict] = {}
         for gexp, coeff in terms:
-            for sid, c in _product(coeffs, gexp, n, products, lifts,
-                                   sets, ids).items():
+            for sid, c in _product(coeffs, gexp, n, products).items():
                 new = acc.get(sid, 0) + coeff * c
                 if new:
                     acc[sid] = new
@@ -898,5 +909,5 @@ def assemble(
                     del acc[sid]
     for sid, c in acc.items():
         if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} at {sets[sid]}")
-    return slater_to_poly({sets[sid]: int(c) for sid, c in acc.items()}, n, d)
+            raise ValueError(f"non-integer coefficient {c} at {_sets[sid]}")
+    return slater_to_poly({_sets[sid]: int(c) for sid, c in acc.items()}, n, d)

@@ -18,6 +18,14 @@ slater_to_poly; slater_normalized and slater_times_elementary (e_j times a
 sum on interned set ids, for the decomposition) work on the coefficients;
 _alternation_table is the one expansion table, shared by slater_to_poly and
 the shapes.json writer and loader.
+
+The decomposition keys sets by integer id through one occupation-set table
+per process (_sets, _ids, _images): intern_sets and slater_times_elementary
+add to it and nothing removes from it, so it lives as long as the process
+and only grows, with the sets and images of every (n, d) met so far.  A
+(4,3) grade-12 decomposition leaves about 34k sets and 17k images in it,
+about 9 MB of objects, and peaks at 140 MB, as it did when each call built
+its own tables.  The table is not locked: use it from one thread at a time.
 """
 
 from __future__ import annotations
@@ -420,33 +428,40 @@ def slater_to_poly(coeffs: Mapping[tuple, int], n: int, d: int) -> MPoly:
     return MPoly(n, d, terms)
 
 
-def intern_sets(coeffs: Mapping[tuple, int], sets: list[tuple],
-                ids: dict[tuple, int]) -> dict[int, int]:
-    """coeffs keyed by set id, for sets[id] == set and ids[set] == id."""
+# The process-wide occupation-set table: every set interned so far, by id
+# (_sets) and back (_ids), and each set's image under e_j in coordinate c as
+# (id, sign) pairs, in _images[c, j][id].  An image is a pure function of
+# its set, so no entry is ever stale, and sets of every (n, d) share it.
+_sets: list[tuple] = []
+_ids: dict[tuple, int] = {}
+_images: dict[tuple[int, int], dict[int, tuple]] = {}
+
+
+def intern_sets(coeffs: Mapping[tuple, int]) -> dict[int, int]:
+    """coeffs keyed by set id, for _sets[id] == set and _ids[set] == id."""
     for rows in coeffs:
-        if ids.setdefault(rows, len(sets)) == len(sets):
-            sets.append(rows)
-    return {ids[rows]: coeff for rows, coeff in coeffs.items()}
+        if _ids.setdefault(rows, len(_sets)) == len(_sets):
+            _sets.append(rows)
+    return {_ids[rows]: coeff for rows, coeff in coeffs.items()}
 
 
-def slater_times_elementary(coeffs: Mapping[int, int], c: int, j: int,
-                            images: dict[int, list], sets: list[tuple],
-                            ids: dict[tuple, int]) -> dict[int, int]:
-    """e_j in the coordinate-c variables times sum(coeff * Alt(sets[i])),
+def slater_times_elementary(coeffs: Mapping[int, int], c: int, j: int
+                            ) -> dict[int, int]:
+    """e_j in the coordinate-c variables times sum(coeff * Alt(_sets[i])),
     with coeffs and the result keyed by set ids (intern_sets).
 
     e_j is symmetric, so it acts on Alt(rows) as the sum over j-subsets of
     rows, each raised by one in coordinate c.  A result with two equal rows
     vanishes; the others are re-sorted and take the sign of that sort.
-    Each set's image is worked out once, as (id, sign) pairs, into images;
-    calls for the same c and j may share that table.
+    Each set's image is worked out once per process, into _images.
     """
+    images = _images.setdefault((c, j), {})
     out: dict[int, int] = {}
     for sid, coeff in coeffs.items():
         image = images.get(sid)
         if image is None:
-            rows = sets[sid]
-            image = images[sid] = []
+            rows = _sets[sid]
+            image = []
             for subset in itertools.combinations(range(len(rows)), j):
                 new = list(rows)
                 for a in subset:
@@ -455,10 +470,11 @@ def slater_times_elementary(coeffs: Mapping[int, int], c: int, j: int,
                 sign = _sort_with_sign(new)
                 if sign:   # distinct subsets raise to distinct sets
                     new = tuple(new)
-                    key = ids.setdefault(new, len(sets))
-                    if key == len(sets):
-                        sets.append(new)
+                    key = _ids.setdefault(new, len(_sets))
+                    if key == len(_sets):
+                        _sets.append(new)
                     image.append((key, sign))
+            images[sid] = image = tuple(image)   # whole: the table outlives calls
         for new, sign in image:
             v = out.get(new, 0) + sign * coeff
             if v:

@@ -5,9 +5,13 @@ import hashlib
 import itertools
 import logging
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,7 @@ from shapeforge.engine import (
     verify_completeness,
     verify_sign_conflict,
 )
+from shapeforge import multipoly
 from shapeforge.multipoly import (
     DimensionMismatchError,
     MPoly,
@@ -42,6 +47,7 @@ from shapeforge.multipoly import (
     slater_basis,
     slater_coefficients,
     slater_times_elementary,
+    slater_to_poly,
     source_shape,
 )
 from shapeforge.qseries import (
@@ -662,10 +668,9 @@ def test_verify_completeness_detects_symmetric_multiple():
             controls += 1
             # the product kernel works on interned sets: intern the lower
             # shape's and map the product back to rows
-            sets, ids = [], {}
-            prod = slater_times_elementary(intern_sets(low.slater, sets, ids),
-                                           rise.index(1), 1, {}, sets, ids)
-            prod = {sets[sid]: c for sid, c in prod.items()}
+            prod = slater_times_elementary(intern_sets(low.slater),
+                                           rise.index(1), 1)
+            prod = {multipoly._sets[sid]: c for sid, c in prod.items()}
             edited = list(records)
             edited[slot.id] = slot._replace(slater=prod)
             with pytest.raises(IncompletenessError,
@@ -816,10 +821,10 @@ def test_express_round_trip_two_five():
         assert assemble(records, phis, 2, 5) == psi
 
 
-def test_decomposition_is_pinned():
-    # values and key order of every Phi, on seeded (3,3) states at grades
-    # 5-8 built as the decompose benchmark builds them: a random integer
-    # combination of up to three antisymmetrized occupation sets
+def _pinned_decompositions_digest() -> str:
+    """Values and key order of every Phi, on seeded (3,3) states at grades
+    5-8 built as the decompose benchmark builds them: a random integer
+    combination of up to three antisymmetrized occupation sets."""
     records = enumerate_shapes(3, 3).records
     out = []
     for seed in range(1, 13):
@@ -832,7 +837,52 @@ def test_decomposition_is_pinned():
                 psi = psi + antisymmetrize(list(rows)).scale(coeff)
             phis = express_in_basis(psi, records, 3, 3)
             out.append([list(phi.items()) for phi in phis])
-    assert _digest(out) == "25c0cf9d6bf4a087"
+    return _digest(out)
+
+
+def test_decomposition_is_pinned():
+    # the occupation-set table lives as long as the process, so the pin
+    # holds on a cold table (a fresh interpreter, nothing interned yet)...
+    tests = Path(__file__).resolve().parent
+    cold = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from shapeforge import multipoly; "
+         "assert not multipoly._sets; "
+         f"sys.path.insert(0, {str(tests)!r}); import test_engine; "
+         "print(test_engine._pinned_decompositions_digest())"],
+        env={**os.environ, "PYTHONPATH": str(tests.parent / "src")},
+        capture_output=True, text=True, check=True)
+    assert cold.stdout.strip() == "25c0cf9d6bf4a087", cold.stderr
+    # ...and on one that other spaces and a top-grade state filled first
+    rng = random.Random(27)
+    for n, d, grade in ((2, 3, 3), (2, 5, 5), (3, 3, 9)):
+        records = enumerate_shapes(n, d).records
+        psi = slater_to_poly({rows: rng.choice((-3, -2, -1, 1, 2, 3))
+                              for rows in rng.sample(
+                                  slater_basis(n, d, grade), 3)}, n, d)
+        phis = express_in_basis(psi, records, n, d)
+        assert assemble(records, phis, n, d) == psi
+    assert _pinned_decompositions_digest() == "25c0cf9d6bf4a087"
+    # the spaces share one table, whose ids stay dense
+    sets, ids = multipoly._sets, multipoly._ids
+    assert len(sets) == len(ids)
+    assert all(sets[ids[rows]] == rows for rows in ids)
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (2, 5)])
+def test_records_from_another_space_are_refused(n, d):
+    # both used to run on: express_in_basis blamed the span, and assemble
+    # expanded sets of n rows as 2-particle determinants
+    records = enumerate_shapes(n, d).records
+    mismatch = rf"record 0 is over \(n={n},d={d}\), not \(n=2,d=3\)"
+    for rec in enumerate_shapes(2, 3).records:
+        with pytest.raises(DimensionMismatchError, match=mismatch):
+            express_in_basis(rec.poly, records, 2, 3)
+    with pytest.raises(DimensionMismatchError, match=mismatch):
+        express_in_basis(MPoly.zero(2, 3), records, 2, 3)
+    phis = [{(0,) * 6: Fraction(1)} for _ in records]
+    with pytest.raises(DimensionMismatchError, match=mismatch):
+        assemble(records, phis, 2, 3)
 
 
 def test_assemble_matches_the_monomial_products():

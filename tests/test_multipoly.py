@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from shapeforge import multipoly
 from shapeforge.multipoly import (
     DimensionMismatchError,
     MPoly,
@@ -435,14 +436,11 @@ def test_slater_coefficients_round_trip_through_antisymmetrize():
     assert slater_coefficients(MPoly.zero(2, 3)) == {}
 
 
-def _times_elementary(coeffs, c, j, images=None, sets=None, ids=None):
+def _times_elementary(coeffs, c, j):
     """slater_times_elementary on rows-keyed coefficients: intern them, take
     the product on set ids and map the result back to rows."""
-    sets = [] if sets is None else sets
-    ids = {} if ids is None else ids
-    got = slater_times_elementary(intern_sets(coeffs, sets, ids), c, j,
-                                  {} if images is None else images, sets, ids)
-    return {sets[sid]: v for sid, v in got.items()}
+    got = slater_times_elementary(intern_sets(coeffs), c, j)
+    return {multipoly._sets[sid]: v for sid, v in got.items()}
 
 
 def test_slater_times_elementary_matches_product():
@@ -462,34 +460,41 @@ def test_slater_times_elementary_matches_product():
                     assert all(got.values())
 
 
-def test_slater_times_elementary_shares_images():
+def test_slater_times_elementary_shares_images(monkeypatch):
     rng = random.Random(31)
+    cases = []
     for n, d in ((2, 3), (3, 3), (2, 5), (4, 3)):
         basis = slater_basis(n, d, 4)
         for c in range(d):
             for j in range(1, n + 1):
-                # one table across several dicts, so later calls read the
-                # images that earlier calls filled
-                images, sets, ids = {}, [], {}
                 for _ in range(4):
                     coeffs = {rows: rng.choice((-3, -2, -1, 1, 2, 3))
                               for rows in rng.sample(basis, 6)}
-                    want = elementary_symmetric(c, j, n, d) * \
-                        slater_to_poly(coeffs, n, d)
-                    got = _times_elementary(coeffs, c, j, images, sets, ids)
-                    assert got == slater_coefficients(want), (n, d, c, j)
-                # the interned sets and their ids stay inverse
-                assert all(ids[rows] == sid for sid, rows in enumerate(sets))
+                    want = slater_coefficients(elementary_symmetric(
+                        c, j, n, d) * slater_to_poly(coeffs, n, d))
+                    cases.append((coeffs, c, j, want))
+    # the first pass fills the table for every space, and the second reads
+    # each image back without raising a single row
+    for coeffs, c, j, want in cases:
+        assert _times_elementary(coeffs, c, j) == want, (c, j)
+
+    def unexpected(rows):
+        raise AssertionError(f"image of {rows} worked out again")
+
+    monkeypatch.setattr(multipoly, "_sort_with_sign", unexpected)
+    for coeffs, c, j, want in cases:
+        assert _times_elementary(coeffs, c, j) == want, (c, j)
+    monkeypatch.undo()
     # {0, 3} and {1, 2} both raise to {1, 3}, where the terms cancel
-    images, sets, ids = {}, [], {}
     coeffs = {((0,), (3,)): 1, ((1,), (2,)): -1}
-    assert _times_elementary(coeffs, 0, 1, images, sets, ids) == \
-        {((0,), (4,)): 1}
-    assert _times_elementary(coeffs, 0, 1, images, sets, ids) == \
-        _times_elementary(coeffs, 0, 1)
-    assert images[ids[((1,), (2,))]] == [(ids[((1,), (3,))], 1)]
-    # ids follow the order in which the sets are first met
-    assert sets == [((0,), (3,)), ((1,), (2,)), ((1,), (3,)), ((0,), (4,))]
+    assert _times_elementary(coeffs, 0, 1) == {((0,), (4,)): 1}
+    ids = multipoly._ids
+    assert multipoly._images[0, 1][ids[((1,), (2,))]] == \
+        ((ids[((1,), (3,))], 1),)
+    # sets of every space share one table, whose ids stay dense
+    sets = multipoly._sets
+    assert len(sets) == len(ids)
+    assert all(ids[rows] == sid for sid, rows in enumerate(sets))
 
 
 def _alt_sum(coeffs, n, d):
