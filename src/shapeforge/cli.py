@@ -179,12 +179,15 @@ def _check_counts(doc: ShapeDocument) -> str | None:
     if n < 1 or d < 1 or d % 2 == 0:
         return f"invalid dimensions n={n} d={d}"
     # n!^(d-1) >= n^(d-1), so an n or d whose n^(d-1) already exceeds the
-    # count fails at once: a malformed one can make n!^(d-1) too large to form
+    # count fails at once: a malformed one can make n!^(d-1) too large to
+    # form.  n!^0 is 1 whatever n is, and needs no factorial
     count = len(doc.records)
     if (n > 1 and d - 1 > math.log(count + 1) / math.log(n)
-            or count != math.factorial(n) ** (d - 1)):
+            or count != (math.factorial(n) ** (d - 1) if d > 1 else 1)):
         return (f"shape count {count} != n!^(d-1) for n={n} d={d}; "
                 f"empty or truncated artifact")
+    if max(degree_D(d, n), d) > sys.maxsize:
+        return f"n={n} d={d} too large to form: past any list index"
     coeffs = list(shape_poly(n, d, Statistics.FERMION).coeffs)
     if doc.shape_poly != coeffs:
         return "stored shape polynomial differs from the recursion"

@@ -134,25 +134,6 @@ class NotationRegressionError(RuntimeError):
     """A pinned operator-notation identity stopped holding."""
 
 
-class _Slotted:
-    """Field-wise == and a repr naming every field, for a mutable record
-    type whose __slots__ lists its fields."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{f}={v!r}" for f, v in zip(self.__slots__, self._values())) + ")"
-
-
 # --- vocabulary -----------------------------------------------------------
 
 class EngineConfig(NamedTuple):
@@ -287,7 +268,10 @@ class BranchingTree(NamedTuple):
     extra_edges: list[tuple[int, int, SymWord, int]]   # (from, to, word, sign)
 
 
-class GradeStats(_Slotted):
+class GradeStats:
+    """One grade's counters, updated in place by the descent; == compares
+    them field by field."""
+
     __slots__ = ("expected", "found", "tried", "zero", "survived", "in_span",
                  "pruned", "skipped", "fallback")
 
@@ -306,17 +290,30 @@ class GradeStats(_Slotted):
         self.skipped = skipped
         self.fallback = fallback
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
 
-class RunReport(_Slotted):
-    __slots__ = ("vocabulary_size", "per_grade", "decisions",
-                 "annihilation_warnings", "elapsed")
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
 
-    def __init__(self, vocabulary_size: int, per_grade: dict[int, GradeStats]):
-        self.vocabulary_size = vocabulary_size
-        self.per_grade = per_grade
-        self.decisions: list[tuple] = []
-        self.annihilation_warnings: list[tuple[int, int]] = []
-        self.elapsed = 0.0
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(self.__slots__, self._values())) + ")"
+
+
+class RunReport(NamedTuple):
+    """Built once, when the descent returns.  GradeStats counts every
+    candidate's outcome; decisions holds only the word acceptances, as
+    (grade, parent id, word index, "accepted", shape id), kept for the
+    benchmark's tracer (perfbench/spans.py)."""
+
+    vocabulary_size: int
+    per_grade: dict[int, GradeStats]
+    decisions: list[tuple]
+    annihilation_warnings: list[tuple[int, int]]   # (shape id, coordinate)
+    elapsed: float
 
 
 class EnumerationResult(NamedTuple):
@@ -409,7 +406,8 @@ def enumerate_shapes(
             (widx, w, word_floor(w, d), _raised_coordinates(w)))
 
     per_grade = {top: GradeStats(expected=1, found=1)}
-    report = RunReport(vocabulary_size=len(vocab), per_grade=per_grade)
+    decisions: list[tuple] = []
+    warnings: list[tuple[int, int]] = []
 
     records = [ShapeRecord(0, top, source_slater(n, d),
                            Provenance(kind="root"), shape_entropy(n, d, top))]
@@ -460,19 +458,16 @@ def enumerate_shapes(
                 # the word kills every row of the parent
                 stats.zero += 1
                 stats.pruned += 1
-                report.decisions.append((g, rec.id, widx, "zero", None))
                 continue
             chi = apply_symword_slater(w, rec.slater)
             if not chi:
                 stats.zero += 1
-                report.decisions.append((g, rec.id, widx, "zero", None))
                 continue
             # an oracle fill may survive unit lowerings: test everywhere
             tested = None if rec.provenance.kind == "oracle" else raised
             if next(_surviving_coordinates(chi, lowerings, tested),
                     None) is not None:
                 stats.survived += 1
-                report.decisions.append((g, rec.id, widx, "survives", None))
                 continue
             prim, cont, sign = slater_normalized(chi)
             key = frozenset(prim.items())
@@ -485,14 +480,11 @@ def enumerate_shapes(
                 tree.edges[rid] = (rec.id, w)
                 accepted_here[key] = rid
                 stats.found += 1
-                report.decisions.append((g, rec.id, widx, "accepted", rid))
+                decisions.append((g, rec.id, widx, "accepted", rid))
             else:
                 stats.in_span += 1
                 if match is not None:
                     tree.extra_edges.append((rec.id, match, w, sign))
-                    report.decisions.append((g, rec.id, widx, "extra_edge", match))
-                else:
-                    report.decisions.append((g, rec.id, widx, "in_span", None))
         stats.skipped = eligible - stats.tried
 
         if stats.found < expected:
@@ -509,7 +501,7 @@ def enumerate_shapes(
                     for c in _surviving_coordinates(prim, lowerings):
                         logger.warning("shape %d survives unit lowering on "
                                        "coordinate %d", rid, c)
-                        report.annihilation_warnings.append((rid, c))
+                        warnings.append((rid, c))
                     if stats.found == expected:
                         break
             logger.info("grade %d: oracle filled %d shapes", g, stats.fallback)
@@ -520,7 +512,8 @@ def enumerate_shapes(
                 )
         _log_grade(g, stats, started)
 
-    report.elapsed = time.perf_counter() - t0
+    report = RunReport(len(vocab), per_grade, decisions, warnings,
+                       time.perf_counter() - t0)
     return EnumerationResult(n=n, d=d, records=records, tree=tree, report=report)
 
 
@@ -680,14 +673,14 @@ class _NormalFormSpan:
     one grade, with one column per occupation set: sum(a_S * Alt(S)) has
     the class n! * sum(a_S * pi(NF(x^S))), row a of S on particle a (see
     the module docstring).  A multidegree's relations enter before the
-    first class that reaches it; rank() counts the classes beyond them."""
+    first class that reaches it, so the classes that extend the span are
+    independent modulo the relations: their count is the span's rank."""
 
     def __init__(self, reducer: _CoinvariantReducer):
         self.reducer = reducer
         self.cols: dict[tuple, int] = {}
         self.degrees: set[tuple] = set()
         self.matrix = SparseIntMatrix()
-        self.relation_rank = 0
 
     def _vector(self, cls: dict[tuple, int]) -> dict[int, int]:
         vec = {}
@@ -696,8 +689,7 @@ class _NormalFormSpan:
             if degree is not None and degree not in self.degrees:
                 self.degrees.add(degree)
                 for rel in self.reducer.relations(degree):
-                    self.relation_rank += self.matrix.try_extend(
-                        self._vector(rel))
+                    self.matrix.try_extend(self._vector(rel))
             vec[self.cols.setdefault(rows, len(self.cols))] = c
         return vec
 
@@ -708,9 +700,6 @@ class _NormalFormSpan:
         for rows, a in coeffs.items():
             self.reducer.project(cls, zip(*rows), a)
         return self.matrix.try_extend(self._vector(cls))
-
-    def rank(self) -> int:
-        return self.matrix.rank() - self.relation_rank
 
 
 def verify_completeness(
@@ -744,9 +733,7 @@ def verify_completeness(
                 f"expects {expected}"
             )
         classes = _NormalFormSpan(reducer)
-        for rec in here:
-            classes.extend(rec.slater)
-        rank = classes.rank()
+        rank = sum(classes.extend(rec.slater) for rec in here)
         results.append((g, expected, rank))
         if rank != expected:
             raise IncompletenessError(
@@ -797,8 +784,9 @@ def express_in_basis(
     """Decompose an antisymmetric homogeneous psi as sum_i Phi_i * Psi_i.
 
     Returns one Phi per record as {generator exponent tuple: coefficient};
-    the decomposition is unique and exact.  psi must live at a grade the
-    completeness check covers.
+    the decomposition is unique and exact, at every grade: the certificate
+    makes the records an R-basis of the whole module (graded Nakayama),
+    above the top grade too.
 
     The solve runs in occupation-set coordinates: psi and every product
     (generator monomial * shape) are antisymmetric, so each is held as its
@@ -840,8 +828,6 @@ def express_in_basis(
     except ValueError:
         raise ValueError("psi must be antisymmetric") from None
     g = psi.grade()
-    if g > degree_D(d, n):
-        raise ValueError(f"grade {g} beyond the verified range")
 
     targets: dict[tuple, dict[int, int]] = {}
     for sid, c in intern_sets(target_sets).items():

@@ -228,7 +228,9 @@ def shape_poly(n: int, d: int, statistics: Statistics = Statistics.FERMION) -> Q
     if n <= 1:
         return QPoly.one()
     acc = QPoly()
-    for k in range(1, n + 1):
+    # k descending asks for P(0), P(1), ..., P(n-1) in ascending order, so
+    # the cache fills bottom-up and the recursion stays two levels deep
+    for k in range(n, 0, -1):
         term = c_poly(n, k) ** d * shape_poly(n - k, d, statistics)
         if statistics is Statistics.FERMION and k % 2 == 0:
             acc = acc - term

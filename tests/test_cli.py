@@ -262,6 +262,14 @@ def artifact_text(tmp_path_factory):
     return (out / "shapes.json").read_text()
 
 
+@pytest.fixture(scope="module")
+def artifact_21_text(tmp_path_factory):
+    """The (2,1) artifact: one shape, and n!^0 = 1 for every n."""
+    out = tmp_path_factory.mktemp("artifact21")
+    assert main(["gen", "-N", "2", "-d", "1", "--out", str(out)]) == 0
+    return (out / "shapes.json").read_text()
+
+
 def damaged(tmp_path, text, mutate):
     doc = json.loads(text)
     mutate(doc)
@@ -627,16 +635,30 @@ def test_verify_deeply_nested_json(tmp_path, capsys):
     assert "cannot load" in err
 
 
-@pytest.mark.parametrize("n", [5000, 10**400], ids=["5000", "1e400"])
-def test_verify_huge_particle_count(tmp_path, capsys, artifact_text, n):
-    # n!^(d-1) is too large to print, or to form at all
+@pytest.mark.parametrize("n,fixture,edit,message", [
+    (5000, "artifact_text", "shapes", "shape count"),
+    (10**400, "artifact_text", "shapes", "shape count"),
+    (10**400, "artifact_21_text", "shapes", "shape count 0 != n!^(d-1)"),
+    (10**400, "artifact_21_text", "poly", "too large to form"),
+], ids=["5000", "1e400", "1e400-d1-no-shapes", "1e400-d1-empty-poly"])
+def test_verify_huge_particle_count(tmp_path, capsys, request, n, fixture,
+                                    edit, message):
+    # n!^(d-1) is too large to print, or to form at all.  At d = 1, n!^0 is
+    # 1 and needs no factorial: no shapes fail the count, and one shape
+    # passes it, so the size is refused before P_1(n) is formed
+    text = request.getfixturevalue(fixture)
+    d = json.loads(text)["d"]
+
     def mutate(doc):
         doc["n"] = n
-        doc["shapes"] = []
-    rc, _, err = run(capsys, "verify", damaged(tmp_path, artifact_text, mutate))
+        if edit == "shapes":
+            doc["shapes"] = []
+        else:
+            doc["shapes"][0]["poly"] = []
+    rc, _, err = run(capsys, "verify", damaged(tmp_path, text, mutate))
     assert rc == 5
-    assert "shape count" in err
-    assert f"n={n} d=3" in err
+    assert message in err
+    assert f"n={n} d={d}" in err
 
 
 def test_verify_frees_text_before_building_document(tmp_path, capsys,

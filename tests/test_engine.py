@@ -217,9 +217,11 @@ def test_enumerate_three_particles_golden():
 
 
 def test_record_types_contract():
-    rec = enumerate_shapes(2, 3).records[1]
+    result = enumerate_shapes(2, 3)
+    rec = result.records[1]
     for obj, name in ((rec, "grade"), (rec.provenance, "sign"),
-                      (EngineConfig(), "max_letters")):
+                      (EngineConfig(), "max_letters"),
+                      (result.report, "elapsed")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
     moved = rec._replace(grade=rec.grade + 1)
@@ -457,29 +459,31 @@ def _digest(obj) -> str:
 
 @pytest.mark.parametrize("n,d,config,digests", [
     (3, 3, EngineConfig(exhaustive=True),
-     ("d42463c1605003f2", "4e0ecd5b5bdbccdf", "bc727b82b0385948",
+     ("d42463c1605003f2", "4e0ecd5b5bdbccdf", "76d6256b3964ab3c",
       "c9ad6b86ab2613b5")),
     (2, 5, EngineConfig(exhaustive=True),
-     ("7d1461ac2df28603", "2039324275401792", "c4d54a8523e14d4a",
+     ("7d1461ac2df28603", "2039324275401792", "005278a50be4aa6a",
       "ca61ca4963ed93b5")),
     (2, 7, EngineConfig(),
-     ("87cb099c6fbcac8c", "482d58834fc8b056", "762a636a1b5a6454",
+     ("87cb099c6fbcac8c", "482d58834fc8b056", "4a1f65a161b708a1",
       "4162f81bad22327d")),
     (3, 3, EngineConfig(max_letters=1),
-     ("a942c5cf780cd2a5", "ed325b827b29b7ec", "47873a98b0948cc2",
+     ("a942c5cf780cd2a5", "ed325b827b29b7ec", "097c9c3845233810",
       "c8c0f4d8a18b7b24")),
     (3, 3, EngineConfig(max_amount=1),
-     ("7a072d40b35d5adc", "0dfa211051c810bd", "977e203d7d421aa8",
+     ("7a072d40b35d5adc", "0dfa211051c810bd", "8fd0f9518bb65176",
       "d897af752ab96fb0")),
     (3, 3, EngineConfig(max_amount=1, exhaustive=True),
-     ("7a072d40b35d5adc", "0dfa211051c810bd", "6598380f36c4933b",
+     ("7a072d40b35d5adc", "0dfa211051c810bd", "8fd0f9518bb65176",
       "3ab0202d57a819a0")),
 ], ids=["3-3-exhaustive", "2-5-exhaustive", "2-7", "3-3-one-letter",
         "3-3-amount-1", "3-3-amount-1-exhaustive"])
 def test_descent_results_are_pinned(n, d, config, digests):
-    # records, tree, every decision and every per-grade counter, as they
+    # records, tree, every acceptance and every per-grade counter, as they
     # were when the descent accepted by the span of Slater coefficients:
     # accepting by class in the sign coinvariants changes none of them.
+    # The third digest is of the acceptances alone; the per-grade counters
+    # stand for every other outcome.
     # The amount-1 runs have 12 oracle fills, each surviving a unit
     # lowering, whose children (extra edges among them) go through the
     # unit-lowering filter on every coordinate
@@ -492,32 +496,32 @@ def test_descent_results_are_pinned(n, d, config, digests):
 @pytest.mark.parametrize("n,d", [(3, 3), (2, 7)])
 def test_span_is_tested_only_below_the_count_and_on_new_shapes(
         monkeypatch, n, d):
+    # one test per accepted shape and per rejection before the grade
+    # filled; none for an extra edge or once the grade is full
     poly = shape_poly(n, d, Statistics.FERMION)
     real = _NormalFormSpan.extend
-    classes: dict[_NormalFormSpan, int] = {}
-    calls = []
+    classes: dict[_NormalFormSpan, list] = {}
+    new_by_grade: dict[int, int] = {}
 
     def extend(self, coeffs):
         grade = sum(map(sum, next(iter(coeffs))))
-        assert classes.get(self, 0) < poly.coeff(grade), "grade is full"
-        calls.append(grade)
+        accepted = classes.setdefault(self, [])
+        assert len(accepted) < poly.coeff(grade), "grade is full"
+        # a candidate equal to a shape accepted here is an extra edge
+        assert coeffs not in accepted, "span test on an accepted shape"
         new = real(self, coeffs)
-        classes[self] = classes.get(self, 0) + new
+        if new:
+            accepted.append(coeffs)
+            new_by_grade[grade] = new_by_grade.get(grade, 0) + 1
         return new
 
     monkeypatch.setattr(_NormalFormSpan, "extend", extend)
     result = enumerate_shapes(n, d, EngineConfig(exhaustive=True))
-    # one test per accepted shape and per rejection before the grade
-    # filled; none for an extra edge or once the grade is full
-    found: dict[int, int] = {}
-    tested = 0
-    for g, _, _, tag, _ in result.report.decisions:
-        if tag == "accepted":
-            found[g] = found.get(g, 0) + 1
-            tested += 1
-        elif tag == "in_span" and found.get(g, 0) < poly.coeff(g):
-            tested += 1
-    assert len(calls) == tested
+    words: dict[int, int] = {}
+    for rec in result.records:
+        if rec.provenance.kind == "word":
+            words[rec.grade] = words.get(rec.grade, 0) + 1
+    assert new_by_grade == words
     assert result.tree.extra_edges    # each one a candidate left untested
     assert not any(s.fallback for s in result.report.per_grade.values())
 
@@ -706,9 +710,8 @@ def test_sign_coinvariant_dimension_is_the_shape_polynomial(n, d):
     poly = shape_poly(n, d, Statistics.FERMION)
     for g in range(degree_D(d, n) + 2):
         span = _NormalFormSpan(_CoinvariantReducer(n))
-        for rows in slater_basis(n, d, g):
-            span.extend({rows: 1})
-        assert span.rank() == poly.coeff(g), g
+        rank = sum(span.extend({rows: 1}) for rows in slater_basis(n, d, g))
+        assert rank == poly.coeff(g), g
 
 
 def test_verify_sign_conflict_is_minus_one():
@@ -799,6 +802,23 @@ def test_express_round_trip_top_grade():
     phis = express_in_basis(psi, records, 3, 3)
     assert phis == built
     assert assemble(records, phis, 3, 3) == psi
+
+
+@pytest.mark.parametrize("n,d,g", [(2, 3, 4), (2, 3, 6), (3, 3, 10),
+                                   (3, 3, 11)])
+def test_express_round_trip_above_the_top_grade(n, d, g):
+    # the certificate makes the shapes an R-basis of the whole module, not
+    # only of the grades up to the top one: a few seeded determinants
+    rng = random.Random(g)
+    assert g > degree_D(d, n)
+    records = enumerate_shapes(n, d).records
+    psi = MPoly.zero(n, d)
+    for rows in rng.sample(slater_basis(n, d, g), 3):
+        psi = psi + antisymmetrize(list(rows)).scale(
+            rng.choice((-3, -2, -1, 1, 2, 3)))
+    phis = express_in_basis(psi, records, n, d)
+    assert all(rec.grade <= g for rec, phi in zip(records, phis) if phi)
+    assert assemble(records, phis, n, d) == psi
 
 
 def test_express_round_trip_two_five():
@@ -996,10 +1016,14 @@ def test_express_rejects_bad_inputs():
     symmetric = elementary_symmetric(0, 1, 2, 3)
     with pytest.raises(ValueError):
         express_in_basis(symmetric, records, 2, 3)
+    # grade 7, above the top grade 3, is no bad input: the certificate
+    # makes the shapes an R-basis of the whole module (graded Nakayama)
     e1 = elementary_symmetric(0, 1, 2, 3)
-    too_high = e1 * e1 * e1 * e1 * source_shape(2, 3)
-    with pytest.raises(ValueError):
-        express_in_basis(too_high, records, 2, 3)
+    above = e1 * e1 * e1 * e1 * source_shape(2, 3)
+    phis = express_in_basis(above, records, 2, 3)
+    assert [i for i, phi in enumerate(phis) if phi] == [0]
+    assert phis[0] == {(4, 0, 0, 0, 0, 0): 1}
+    assert assemble(records, phis, 2, 3) == above
 
 
 def test_express_rejects_psi_of_another_shape():

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +146,24 @@ def test_shape_poly_small_cases():
     assert shape_poly(2, 2, F).coeffs == (0, 2)
     # d=1 collapses to a single generator at the top grade
     assert shape_poly(4, 1, F) == QPoly.monomial(6)
+
+
+def test_shape_poly_recursion_stays_shallow():
+    # P(n) needs P(0..n-1); asked for in ascending order they are cached
+    # bottom-up, so a large n cannot exhaust the stack.  Asked top-down,
+    # P(24) nests 24 calls and fails under this limit, as P(1200) did under
+    # the default one; a large N itself costs minutes, so n stays small
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from shapeforge.qseries import QPoly, shape_poly\n"
+         "sys.setrecursionlimit(25)\n"
+         "assert shape_poly(24, 1) == QPoly.monomial(276)\n"
+         "assert shape_poly(20, 3).coeffs[-1] == 1\n"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
 
 
 @pytest.mark.parametrize("d", range(1, 7))
