@@ -25,11 +25,15 @@ a reader that needs monomials expands a record (ShapeRecord.poly) at a time.
 
 Exact rules settle work in advance, so every decision is the one the
 full computation would make.  A candidate equal to a shape accepted at
-its grade is an extra edge, and a full grade's classes span its whole
-sign part, so neither needs a span test.  Zero by reach: a word kills a row below
-its floor in any coordinate (shiftops.word_floor), so when no row of the
-parent reaches the floor the candidate is zero and the word is never
-applied.  The filter tests only where the word can fail to commute with
+its grade is an extra edge and needs no span test.  A full grade's
+classes span its whole sign part, so no later candidate extends them;
+the tests assert that every candidate passing the filter after its grade
+fills is an extra edge, so a full grade runs no span test.  Unless the
+config is exhaustive, the descent leaves a grade as soon as it fills and
+counts what it left untried as skipped.  Zero by reach: a word kills a
+row below its floor in any coordinate (shiftops.word_floor), so when no
+row of the parent reaches the floor the candidate is zero and the word
+is never applied.  The filter tests only where the word can fail to commute with
 the unit lowering: L_c commutes on a row with any word whose letters on
 c all lower, and one-body operators act particle by particle, so for a
 parent with L_c Psi = 0, L_c W Psi = W L_c Psi = 0 unless W raises on c.
@@ -260,47 +264,29 @@ def _multidegree(rows: tuple) -> tuple:
 
 
 class BranchingTree(NamedTuple):
-    """Filled in place by the descent: edges and extra_edges are never
-    reassigned."""
+    """Built once, when the descent returns."""
 
     root: int
     edges: dict[int, tuple[int, SymWord]]              # child -> (parent, word)
     extra_edges: list[tuple[int, int, SymWord, int]]   # (from, to, word, sign)
 
 
-class GradeStats:
-    """One grade's counters, updated in place by the descent; == compares
-    them field by field."""
+class GradeStats(NamedTuple):
+    """One grade's counters, built once when the descent leaves the grade.
+    tried = zero + survived + in_span + the grade's word shapes; skipped
+    counts the candidates the grade left untried once it filled."""
 
-    __slots__ = ("expected", "found", "tried", "zero", "survived", "in_span",
-                 "pruned", "skipped", "fallback")
-
-    def __init__(self, expected: int, found: int = 0, tried: int = 0,
-                 zero: int = 0, survived: int = 0, in_span: int = 0,
-                 pruned: int = 0, skipped: int = 0, fallback: int = 0):
-        self.expected = expected
-        self.found = found
-        self.tried = tried
-        self.zero = zero
-        # rejected: not annihilated by every unit lowering
-        self.survived = survived
-        self.in_span = in_span
-        # zero by reach: settled without applying the word
-        self.pruned = pruned
-        self.skipped = skipped
-        self.fallback = fallback
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(" + ", ".join(
-            f"{f}={v!r}" for f, v in zip(self.__slots__, self._values())) + ")"
+    expected: int
+    found: int = 0
+    tried: int = 0
+    zero: int = 0
+    # rejected: not annihilated by every unit lowering
+    survived: int = 0
+    in_span: int = 0
+    # zero by reach: settled without applying the word
+    pruned: int = 0
+    skipped: int = 0
+    fallback: int = 0
 
 
 class RunReport(NamedTuple):
@@ -408,10 +394,11 @@ def enumerate_shapes(
     per_grade = {top: GradeStats(expected=1, found=1)}
     decisions: list[tuple] = []
     warnings: list[tuple[int, int]] = []
+    edges: dict[int, tuple[int, SymWord]] = {}
+    extra_edges: list[tuple[int, int, SymWord, int]] = []
 
     records = [ShapeRecord(0, top, source_slater(n, d),
                            Provenance(kind="root"), shape_entropy(n, d, top))]
-    tree = BranchingTree(root=0, edges={}, extra_edges=[])
     lowerings = [SymWord(Word((Letter(c, -1),))) for c in range(d)]
     survivor = next(_surviving_coordinates(records[0].slater, lowerings), None)
     if survivor is not None:
@@ -433,61 +420,60 @@ def enumerate_shapes(
     for g in range(top - 1, bottom - 1, -1):
         started = time.perf_counter()
         expected = poly.coeff(g)
-        stats = GradeStats(expected=expected)
-        per_grade[g] = stats
         if expected == 0:
-            _log_grade(g, stats, started)
+            per_grade[g] = GradeStats(expected=0)
+            _log_grade(g, per_grade[g], started)
             continue
+        found = tried = zero = survived = in_span = pruned = fallback = 0
         # the classes of this grade's shapes in the sign coinvariants; once
-        # there are expected of them they span the grade's whole sign part
+        # there are expected of them they span the grade's whole sign part,
+        # so no later candidate extends them
         classes = _NormalFormSpan(reducer)
         # accepted shapes at this grade by their Slater coefficients: a
         # candidate that reproduces one is an extra edge, with no span test
         accepted_here: dict[frozenset, int] = {}
         # candidates by parent id, then by word; a shape accepted during the
         # scan sits at grade g, so it is never a parent at its own grade
-        eligible = sum(len(by_net.get(g - rec.grade, ()))
-                       for rec in records if rec.grade > g)
         candidates = ((rec, entry) for rec in records if rec.grade > g
                       for entry in by_net.get(g - rec.grade, ()))
         for rec, (widx, w, floor, raised) in candidates:
-            if stats.found == expected and not config.exhaustive:
-                break
-            stats.tried += 1
+            tried += 1
             if not _reaches(tops[rec.id], floor):
                 # the word kills every row of the parent
-                stats.zero += 1
-                stats.pruned += 1
+                zero += 1
+                pruned += 1
                 continue
             chi = apply_symword_slater(w, rec.slater)
             if not chi:
-                stats.zero += 1
+                zero += 1
                 continue
             # an oracle fill may survive unit lowerings: test everywhere
             tested = None if rec.provenance.kind == "oracle" else raised
             if next(_surviving_coordinates(chi, lowerings, tested),
                     None) is not None:
-                stats.survived += 1
+                survived += 1
                 continue
             prim, cont, sign = slater_normalized(chi)
             key = frozenset(prim.items())
             match = accepted_here.get(key)
-            if match is None and stats.found < expected \
-                    and classes.extend(prim):
+            if match is None and classes.extend(prim):
                 rid = accept(g, prim, Provenance(kind="word", parent=rec.id,
                                                  word=w, content=cont,
                                                  sign=sign))
-                tree.edges[rid] = (rec.id, w)
+                edges[rid] = (rec.id, w)
                 accepted_here[key] = rid
-                stats.found += 1
+                found += 1
                 decisions.append((g, rec.id, widx, "accepted", rid))
+                if found == expected and not config.exhaustive:
+                    break
             else:
-                stats.in_span += 1
+                in_span += 1
                 if match is not None:
-                    tree.extra_edges.append((rec.id, match, w, sign))
-        stats.skipped = eligible - stats.tried
+                    extra_edges.append((rec.id, match, w, sign))
+        # what the one stream has left once the grade filled
+        skipped = sum(1 for _ in candidates)
 
-        if stats.found < expected:
+        if found < expected:
             # a set is taken only when its class extends the same span the
             # descent accepted by: a new polynomial may add no new class
             for rows in slater_basis(n, d, g):
@@ -496,22 +482,25 @@ def enumerate_shapes(
                     rid = accept(g, prim,
                                  Provenance(kind="oracle", rows=rows,
                                             content=cont, sign=sign))
-                    stats.found += 1
-                    stats.fallback += 1
+                    found += 1
+                    fallback += 1
                     for c in _surviving_coordinates(prim, lowerings):
                         logger.warning("shape %d survives unit lowering on "
                                        "coordinate %d", rid, c)
                         warnings.append((rid, c))
-                    if stats.found == expected:
+                    if found == expected:
                         break
-            logger.info("grade %d: oracle filled %d shapes", g, stats.fallback)
-            if stats.found < expected:
+            logger.info("grade %d: oracle filled %d shapes", g, fallback)
+            if found < expected:
                 raise IncompletenessError(
-                    f"grade {g}: {stats.found} of {expected} shapes even "
+                    f"grade {g}: {found} of {expected} shapes even "
                     f"with the oracle"
                 )
-        _log_grade(g, stats, started)
+        per_grade[g] = GradeStats(expected, found, tried, zero, survived,
+                                  in_span, pruned, skipped, fallback)
+        _log_grade(g, per_grade[g], started)
 
+    tree = BranchingTree(root=0, edges=edges, extra_edges=extra_edges)
     report = RunReport(len(vocab), per_grade, decisions, warnings,
                        time.perf_counter() - t0)
     return EnumerationResult(n=n, d=d, records=records, tree=tree, report=report)

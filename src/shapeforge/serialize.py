@@ -365,7 +365,8 @@ def document_to_dot(doc: ShapeDocument) -> str:
 
 def report_to_text(result: EnumerationResult) -> str:
     """Run totals, then each grade's GradeStats; `skipped` is the grade's
-    candidates, counted from the vocabulary, left untried once it filled."""
+    candidates left untried once it filled, what the descent's candidate
+    stream still held when it left the grade."""
     rep: RunReport = result.report
     lines = [
         f"shapes: {len(result.records)} for n={result.n} d={result.d}",

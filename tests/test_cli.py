@@ -29,9 +29,9 @@ def run(capsys, *argv):
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
-    # every command pays for its imports; the record types are NamedTuples
-    # and slotted classes, so dataclasses (with the inspect, ast and dis
-    # it pulls in) stays out of start-up
+    # every command pays for its imports; the record types are NamedTuples,
+    # so dataclasses (with the inspect, ast and dis it pulls in) stays out
+    # of start-up
     src = Path(__file__).resolve().parents[1] / "src"
     probe = subprocess.run(
         [sys.executable, "-c",
@@ -315,6 +315,32 @@ def test_verify_verbose_logs_each_check_with_its_time(tmp_path, capsys,
     assert [line.split(":")[0] for line in lines] == [
         "verify load", "verify counts and histogram", "verify record replay"]
     assert lines[-1].startswith("verify record replay: failed, ")
+
+
+def test_gen_verbose_logs_each_grade_as_the_report_counts_it(
+        tmp_path, capsys, caplog):
+    with caplog.at_level(logging.INFO, logger="shapeforge.engine"):
+        rc, _, _ = run(capsys, "--verbose", "gen", "-N", "3", "-d", "3",
+                       "--exhaustive", "--out", str(tmp_path))
+    assert rc == 0
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "shapeforge.engine"]
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    header = report.index(
+        "grade  expected  found  tried  zero  survived  in_span  pruned  "
+        "skipped  fallback")
+    table = report[header + 1:report.index("", header)]
+    rows = [list(map(int, line.split())) for line in table]
+    assert len(lines) == len(rows) == 8
+    pattern = (r"grade (\d+): found (\d+)/(\d+), tried (\d+), zero (\d+), "
+               r"survived (\d+), in_span (\d+), pruned (\d+), \d+\.\d\ds")
+    for g, line, row in zip(range(9, 1, -1), lines, rows):
+        m = re.fullmatch(pattern, line)
+        assert m, line
+        grade, found, expected, *counts = map(int, m.groups())
+        # report columns: grade expected found tried zero survived in_span
+        # pruned, then skipped and fallback, which the log leaves out
+        assert [grade, expected, found, *counts] == row[:8] and grade == g
 
 
 def test_verify_rejects_perturbed_coefficient(tmp_path, capsys, artifact_text):

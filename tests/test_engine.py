@@ -221,7 +221,8 @@ def test_record_types_contract():
     rec = result.records[1]
     for obj, name in ((rec, "grade"), (rec.provenance, "sign"),
                       (EngineConfig(), "max_letters"),
-                      (result.report, "elapsed")):
+                      (result.report, "elapsed"), (result.tree, "edges"),
+                      (result.report.per_grade[1], "found")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 0)
     moved = rec._replace(grade=rec.grade + 1)
@@ -493,11 +494,13 @@ def test_descent_results_are_pinned(n, d, config, digests):
         sorted(result.report.per_grade.items())))) == digests
 
 
-@pytest.mark.parametrize("n,d", [(3, 3), (2, 7)])
+@pytest.mark.parametrize("n,d", [(3, 3), (2, 7), (2, 5), (2, 9)])
 def test_span_is_tested_only_below_the_count_and_on_new_shapes(
         monkeypatch, n, d):
     # one test per accepted shape and per rejection before the grade
-    # filled; none for an extra edge or once the grade is full
+    # filled; none for an extra edge.  The descent does not stop testing
+    # when a grade fills, so "grade is full" asserts that every candidate
+    # passing the filter after that is an extra edge
     poly = shape_poly(n, d, Statistics.FERMION)
     real = _NormalFormSpan.extend
     classes: dict[_NormalFormSpan, list] = {}
