@@ -22,10 +22,12 @@ the shapes.json writer and loader.
 The decomposition keys sets by integer id through one occupation-set table
 per process (_sets, _ids, _images): intern_sets and slater_times_elementary
 add to it and nothing removes from it, so it lives as long as the process
-and only grows, with the sets and images of every (n, d) met so far.  A
-(4,3) grade-12 decomposition leaves about 34k sets and 17k images in it,
-about 9 MB of objects, and peaks at 140 MB, as it did when each call built
-its own tables.  The table is not locked: use it from one thread at a time.
+and only grows, with the sets and images of every (n, d) met so far.  Its
+sets hold one object per distinct row, from _rows, which source_slater and
+shiftops.apply_symword_slater also take their rows from.  A (4,3) grade-12
+decomposition leaves about 34k sets, 17k images and 158 rows in it, about
+8 MB of objects, and peaks at 138 MB.  The table is not locked: use it
+from one thread at a time.
 """
 
 from __future__ import annotations
@@ -299,7 +301,8 @@ def source_slater(n: int, d: int) -> dict[tuple, int]:
               for sigma in itertools.permutations(range(n))]
     out = {}
     for combo in itertools.product(signed, repeat=d - 1):
-        rows = tuple(zip(range(n), *(sigma for sigma, _ in combo)))
+        rows = tuple(_rows.setdefault(r, r)
+                     for r in zip(range(n), *(sigma for sigma, _ in combo)))
         out[rows] = reversal * math.prod(sign for _, sign in combo)
     return out
 
@@ -432,15 +435,24 @@ def slater_to_poly(coeffs: Mapping[tuple, int], n: int, d: int) -> MPoly:
 # (_sets) and back (_ids), and each set's image under e_j in coordinate c as
 # (id, sign) pairs, in _images[c, j][id].  An image is a pure function of
 # its set, so no entry is ever stale, and sets of every (n, d) share it.
+# _rows maps each row met so far to the one object of it that sets share.
 _sets: list[tuple] = []
 _ids: dict[tuple, int] = {}
 _images: dict[tuple[int, int], dict[int, tuple]] = {}
+_rows: dict[tuple, tuple] = {}
 
 
 def intern_sets(coeffs: Mapping[tuple, int]) -> dict[int, int]:
-    """coeffs keyed by set id, for _sets[id] == set and _ids[set] == id."""
+    """coeffs keyed by set id, for _sets[id] == set and _ids[set] == id.
+
+    A new set's rows are shared through _rows; the set is copied only when
+    one of its rows is not the shared object yet."""
     for rows in coeffs:
-        if _ids.setdefault(rows, len(_sets)) == len(_sets):
+        if rows not in _ids:
+            shared = [_rows.setdefault(r, r) for r in rows]
+            if any(map(operator.is_not, shared, rows)):
+                rows = tuple(shared)
+            _ids[rows] = len(_sets)
             _sets.append(rows)
     return {_ids[rows]: coeff for rows, coeff in coeffs.items()}
 
@@ -466,7 +478,8 @@ def slater_times_elementary(coeffs: Mapping[int, int], c: int, j: int
                 new = list(rows)
                 for a in subset:
                     r = new[a]
-                    new[a] = r[:c] + (r[c] + 1,) + r[c + 1:]
+                    r = r[:c] + (r[c] + 1,) + r[c + 1:]
+                    new[a] = _rows.setdefault(r, r)
                 sign = _sort_with_sign(new)
                 if sign:   # distinct subsets raise to distinct sets
                     new = tuple(new)

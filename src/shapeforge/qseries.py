@@ -6,9 +6,10 @@ q^g coefficient counts the shape-module generators of grade g, and the
 full state count factorizes as Z_d(N,q) = Z_E(N,q)^d * P_d(N,q) where
 Z_E(N,q) = prod_{k=1..N} 1/(1-q^k).
 
-Both divide a coefficient list by (1-q^k) in place (_divide_one_minus_qk):
-each C-quotient of the shape-polynomial recursion once, the state counts
-d times for each part size k.
+Both work in place on plain coefficient lists: a term of the shape
+polynomial multiplies P_d(N-k) by (1-q^j)^d (_times_one_minus_qk) and
+divides it by (1-q^k)^d (_divide_one_minus_qk); the state counts divide
+P_d(N) by (1-q^k)^d for each part size k.  QPoly only holds the result.
 
 All arithmetic is exact; the only floating-point output in the package
 is the entropy (a logarithm of a coefficient).
@@ -45,14 +46,6 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "QPoly":
-        return cls((0,) * power + (coeff,))
-
     @property
     def degree(self) -> int:
         """Highest power with a nonzero coefficient; -1 for the zero polynomial."""
@@ -75,57 +68,6 @@ class QPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = QPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def exact_div_int(self, k: int) -> "QPoly":
-        if any(c % k for c in self.coeffs):
-            raise ArithmeticError(f"coefficients not divisible by {k}")
-        return QPoly(tuple(c // k for c in self.coeffs))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -191,24 +133,13 @@ def _divide_one_minus_qk(c: list, k: int, times: int = 1) -> None:
             c[i] += c[i - k]
 
 
-def c_poly(n: int, k: int) -> QPoly:
-    """Building-block quotient (1-q^n)...(1-q^(n-k+1)) / (1-q^k).
-
-    Always a polynomial of degree k(2n-k-1)/2; the division is exact.
-    The numerator's degree is the quotient's plus k, so the series
-    quotient up to that degree is a polynomial exactly when its last k
-    coefficients are zero: past the numerator, each repeats the one k below.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
-    num = QPoly.one()
-    for j in range(n - k + 1, n + 1):
-        num = num * (QPoly.one() - QPoly.monomial(j))
-    c = list(num.coeffs)
-    _divide_one_minus_qk(c, k)
-    if any(c[-k:]):
-        raise ArithmeticError(f"(1-q^{k}) does not divide the numerator")
-    return QPoly(c[:-k])
+def _times_one_minus_qk(c: list, k: int, times: int = 1) -> None:
+    """Multiply the power series with coefficients c by (1-q^k)^times in
+    place, up to len(c): the product's q^i coefficient is c[i] minus c's
+    q^(i-k) coefficient.  The mirror of _divide_one_minus_qk."""
+    for _ in range(times):
+        for i in range(len(c) - 1, k - 1, -1):
+            c[i] -= c[i - k]
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,26 +148,43 @@ def shape_poly(n: int, d: int, statistics: Statistics = Statistics.FERMION) -> Q
 
         N * P_d(N,q) = sum_{k=1..N} s_k * C(N,k,q)^d * P_d(N-k,q)
 
-    with s_k = (-1)^(k+1) for fermions and s_k = +1 for bosons, and
-    P_d(0,q) = P_d(1,q) = 1.  Both the C-quotients and the final
-    division by N are exact; any remainder is a hard error.
+    with C(N,k,q) = (1-q^N)...(1-q^(N-k+1)) / (1-q^k), s_k = (-1)^(k+1)
+    for fermions and s_k = +1 for bosons, and P_d(0,q) = P_d(1,q) = 1.
+
+    Each term is built in place on a copy of P_d(N-k)'s coefficients:
+    multiplied by (1-q^j)^d for j = N-k+1..N, the list growing to hold the
+    numerator exactly, then padded to D + d*k + 1 for D = degree_D(d, N)
+    and divided by (1-q^k)^d as a series.  The numerator's degree is at
+    most D + d*k, so that division is exact just when every coefficient
+    past D is zero.  It and the final division by N raise ArithmeticError
+    when inexact.  A term takes d*(k+1) passes over at most D + d*k + 1
+    coefficients, so P_d(N) costs O(d^2 N^4) additions given the lower ones.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if d < 1:
         raise ValueError("d must be positive")
     if n <= 1:
-        return QPoly.one()
-    acc = QPoly()
+        return QPoly((1,))
+    top = degree_D(d, n)
+    acc = [0] * (top + 1)
     # k descending asks for P(0), P(1), ..., P(n-1) in ascending order, so
     # the cache fills bottom-up and the recursion stays two levels deep
     for k in range(n, 0, -1):
-        term = c_poly(n, k) ** d * shape_poly(n - k, d, statistics)
-        if statistics is Statistics.FERMION and k % 2 == 0:
-            acc = acc - term
-        else:
-            acc = acc + term
-    return acc.exact_div_int(n)
+        term = list(shape_poly(n - k, d, statistics).coeffs)
+        for j in range(n - k + 1, n + 1):
+            term += [0] * (d * j)
+            _times_one_minus_qk(term, j, d)
+        term += [0] * (top + d * k + 1 - len(term))
+        _divide_one_minus_qk(term, k, d)
+        if any(term[top + 1:]):
+            raise ArithmeticError(f"(1-q^{k})^{d} does not divide the numerator")
+        sign = -1 if statistics is Statistics.FERMION and k % 2 == 0 else 1
+        for i in range(top + 1):
+            acc[i] += sign * term[i]
+    if any(c % n for c in acc):
+        raise ArithmeticError(f"coefficients not divisible by {n}")
+    return QPoly([c // n for c in acc])
 
 
 def degree_D(d: int, n: int) -> int:

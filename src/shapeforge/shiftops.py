@@ -27,7 +27,7 @@ import re
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .multipoly import COORD_LETTERS, MPoly, coord_name
+from .multipoly import COORD_LETTERS, MPoly, _rows, coord_name
 
 
 class Letter(NamedTuple):
@@ -147,7 +147,8 @@ def apply_symword_slater(sw: SymWord,
     An image equal to another row of the set vanishes; the others move to
     their sorted place, which takes the sign of the rows they pass (the
     insertion step of multipoly._sort_with_sign).  Row images are memoized
-    for the call, since the sets share most of their rows.
+    for the call, since the sets share most of their rows, and taken from
+    multipoly's row table, so sets from different calls share them too.
     """
     letters = sw.word.letters[::-1]
     images: dict[tuple, tuple | None] = {}
@@ -158,7 +159,8 @@ def apply_symword_slater(sw: SymWord,
             r[c] += step
             if r[c] < 0:
                 return None
-        return tuple(r)
+        r = tuple(r)
+        return _rows.setdefault(r, r)
 
     out: dict[tuple, int] = {}
     for rows, coeff in coeffs.items():

@@ -892,6 +892,21 @@ def test_decomposition_is_pinned():
     assert all(sets[ids[rows]] == rows for rows in ids)
 
 
+def test_decomposition_shares_rows():
+    # the table's sets hold one object per distinct row after a (3,3) op,
+    # whether the row came from psi, from a record or from raising a row
+    records = enumerate_shapes(3, 3).records
+    for grade in (5, 6, 7, 8):
+        rng = random.Random(f"1/0/{grade}")
+        psi = slater_to_poly({rows: rng.choice((-3, -2, -1, 1, 2, 3))
+                              for rows in rng.sample(
+                                  slater_basis(3, 3, grade), 3)}, 3, 3)
+        phis = express_in_basis(psi, records, 3, 3)
+        assert assemble(records, phis, 3, 3) == psi
+    rows = [r for rows in multipoly._sets for r in rows]
+    assert len({id(r) for r in rows}) == len(set(rows))
+
+
 @pytest.mark.parametrize("n,d", [(3, 3), (2, 5)])
 def test_records_from_another_space_are_refused(n, d):
     # both used to run on: express_in_basis blamed the span, and assemble

@@ -497,6 +497,19 @@ def test_slater_times_elementary_shares_images(monkeypatch):
     assert all(ids[rows] == sid for sid, rows in enumerate(sets))
 
 
+def test_occupation_sets_share_rows():
+    # a set met again under fresh row objects keeps its id, and the rows of
+    # every set in the table, a caller's or raised by e_j, are one object
+    # per distinct row
+    first = intern_sets({((0, 1, 2), (2, 0, 1)): 1})
+    again = intern_sets({(tuple([0, 1, 2]), tuple([2, 0, 1])): 5})
+    assert list(again) == list(first)
+    for c in range(3):
+        _times_elementary({(tuple([0, 1, 2]), tuple([3, 0, 0])): 1}, c, 1)
+    rows = [r for rows in multipoly._sets for r in rows]
+    assert len({id(r) for r in rows}) == len(set(rows))
+
+
 def _alt_sum(coeffs, n, d):
     p = MPoly.zero(n, d)
     for rows, c in coeffs.items():

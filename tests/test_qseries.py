@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from shapeforge import qseries
 from shapeforge.qseries import (
     NoShapeAtGradeError,
     QPoly,
     Statistics,
     _divide_one_minus_qk,
-    c_poly,
+    _times_one_minus_qk,
     degree_D,
     ground_grade,
     min_fill_grade,
@@ -57,29 +58,12 @@ def brute_state_count(n, d, g):
     return rec(0, n, g)
 
 
-# --- QPoly arithmetic ---------------------------------------------------
+# --- QPoly values -------------------------------------------------------
 
 def test_qpoly_normalizes_trailing_zeros():
     assert QPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert QPoly([0, 0]).is_zero()
     assert QPoly().degree == -1
-
-
-def test_qpoly_arithmetic():
-    p = QPoly([1, 1])
-    assert (p * p).coeffs == (1, 2, 1)
-    assert (p - p).is_zero()
-    assert (QPoly([1]) - QPoly([0, 0, 2])).coeffs == (1, 0, -2)
-    assert (QPoly([1, 2, 3]) - QPoly([0, 0, 3])).coeffs == (1, 2)
-    assert (p ** 3).coeffs == (1, 3, 3, 1)
-    assert (QPoly([0, 1, 1]) + QPoly([1])).coeffs == (1, 1, 1)
-    assert (-QPoly([1, -2])).coeffs == (-1, 2)
-    assert (QPoly([2, 4]) * 3).coeffs == (6, 12)
-
-
-def test_qpoly_exact_div_detects_remainder():
-    with pytest.raises(ArithmeticError):
-        QPoly([3, 3]).exact_div_int(2)
 
 
 def test_qpoly_str():
@@ -89,7 +73,7 @@ def test_qpoly_str():
     assert str(QPoly([0, 1])) == "q"
 
 
-# --- C-quotients --------------------------------------------------------
+# --- (1-q^k) in place ---------------------------------------------------
 
 def test_divide_one_minus_qk_in_place():
     c = [1, 0, 0, -1]           # (1 - q^3) / (1 - q) = 1 + q + q^2
@@ -103,33 +87,56 @@ def test_divide_one_minus_qk_in_place():
     assert c == [1, 0, 2, 0, 3, 0]
 
 
-def test_c_poly_frozen_small_cases():
-    # (1-q^3)/(1-q) and (1-q^3)(1-q^2)/(1-q^2) worked out by hand
-    assert c_poly(3, 1).coeffs == (1, 1, 1)
-    assert c_poly(3, 2).coeffs == (1, 0, 0, -1)
-    assert c_poly(3, 3).coeffs == (1, -1, -1, 1)
-    assert c_poly(2, 1).coeffs == (1, 1)
-    assert c_poly(2, 2).coeffs == (1, -1)
+def test_times_one_minus_qk_in_place():
+    c = [1, 1, 1, 0]            # (1 + q + q^2) (1 - q) = 1 - q^3
+    _times_one_minus_qk(c, 1)
+    assert c == [1, 0, 0, -1]
+    c = [1, 0, 0, 0, 0]         # (1 - q^2)^2 = 1 - 2q^2 + q^4
+    _times_one_minus_qk(c, 2, 2)
+    assert c == [1, 0, -2, 0, 1]
+    c = [2, 3]                  # 2 + q - 3q^2, cut off at len(c)
+    _times_one_minus_qk(c, 1)
+    assert c == [2, 1]
+    c = [5, 7]                  # k >= len(c): nothing below q^k moves
+    _times_one_minus_qk(c, 2, 3)
+    assert c == [5, 7]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_times_then_divide_restores(k):
+    base = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3, -5, 8]
+    for times in range(4):
+        c = list(base)
+        _times_one_minus_qk(c, k, times)
+        _divide_one_minus_qk(c, k, times)
+        assert c == base, (k, times)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_c_poly_product_identity_and_degree(n):
-    # Oracle: c_poly(n,k) * (1-q^k) must reproduce the numerator product,
-    # independently of how the division was carried out.
+def test_c_quotient_identity_and_degree(n):
+    # C(n,k) = (1-q^n)...(1-q^(n-k+1)) / (1-q^k), formed as shape_poly forms
+    # a term: the numerator grown in place, then divided as a series.  The
+    # numerator matches its expansion over subsets of the factors, the
+    # quotient is a polynomial of degree k(2n-k-1)/2, and multiplying it
+    # back by (1-q^k) gives the numerator again
     for k in range(1, n + 1):
-        num = QPoly.one()
-        for j in range(n - k + 1, n + 1):
-            num = num * (QPoly.one() - QPoly.monomial(j))
-        c = c_poly(n, k)
-        assert c * (QPoly.one() - QPoly.monomial(k)) == num
-        assert c.degree == k * (2 * n - k - 1) // 2
-
-
-def test_c_poly_rejects_bad_k():
-    with pytest.raises(ValueError):
-        c_poly(3, 0)
-    with pytest.raises(ValueError):
-        c_poly(3, 4)
+        factors = range(n - k + 1, n + 1)
+        num = [1]
+        for j in factors:
+            num += [0] * j
+            _times_one_minus_qk(num, j)
+        want = [0] * len(num)
+        for size in range(k + 1):
+            for subset in itertools.combinations(factors, size):
+                want[sum(subset)] += (-1) ** size
+        assert num == want, (n, k)
+        c = list(num)
+        _divide_one_minus_qk(c, k)
+        degree = k * (2 * n - k - 1) // 2
+        assert len(c) == degree + k + 1
+        assert c[degree] and not any(c[degree + 1:]), (n, k)
+        _times_one_minus_qk(c, k)
+        assert c == num, (n, k)
 
 
 # --- shape polynomials --------------------------------------------------
@@ -140,30 +147,63 @@ def test_shape_poly_golden_n3_d3():
 
 
 def test_shape_poly_small_cases():
-    assert shape_poly(0, 3, F) == QPoly.one()
-    assert shape_poly(1, 5, F) == QPoly.one()
+    assert shape_poly(0, 3, F) == QPoly([1])
+    assert shape_poly(1, 5, F) == QPoly([1])
     assert shape_poly(2, 3, F).coeffs == (0, 3, 0, 1)
     assert shape_poly(2, 2, F).coeffs == (0, 2)
-    # d=1 collapses to a single generator at the top grade
-    assert shape_poly(4, 1, F) == QPoly.monomial(6)
+    # d=1 collapses to a single generator: at the top grade for fermions,
+    # at grade 0 for bosons
+    for n in range(41):
+        assert shape_poly(n, 1, F) == QPoly([0] * (n * (n - 1) // 2) + [1]), n
+        assert shape_poly(n, 1, B) == QPoly([1]), n
 
 
 def test_shape_poly_recursion_stays_shallow():
     # P(n) needs P(0..n-1); asked for in ascending order they are cached
     # bottom-up, so a large n cannot exhaust the stack.  Asked top-down,
     # P(24) nests 24 calls and fails under this limit, as P(1200) did under
-    # the default one; a large N itself costs minutes, so n stays small
+    # the default one.  P(N) costs O(d^2 N^4) additions given the lower
+    # ones, so P(40) at d = 1 takes a fraction of a second
     src = Path(__file__).resolve().parents[1] / "src"
     probe = subprocess.run(
         [sys.executable, "-c",
          "import sys\n"
          "from shapeforge.qseries import QPoly, shape_poly\n"
          "sys.setrecursionlimit(25)\n"
-         "assert shape_poly(24, 1) == QPoly.monomial(276)\n"
+         "assert shape_poly(24, 1) == QPoly([0] * 276 + [1])\n"
+         "assert shape_poly(40, 1) == QPoly([0] * 780 + [1])\n"
          "assert shape_poly(20, 3).coeffs[-1] == 1\n"],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
+
+
+@pytest.fixture
+def cold_shape_poly():
+    # a mutant must compute, not read the cache; nothing it leaves is kept
+    shape_poly.cache_clear()
+    yield
+    shape_poly.cache_clear()
+
+
+def test_shape_poly_rejects_an_inexact_c_quotient(monkeypatch, cold_shape_poly):
+    # a division that drops one factor of (1-q^k) leaves a quotient of
+    # degree above D, which the check past D must catch
+    divide = qseries._divide_one_minus_qk
+    monkeypatch.setattr(qseries, "_divide_one_minus_qk",
+                        lambda c, k, times=1: divide(c, k, times - 1))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        shape_poly(3, 3, F)
+
+
+def test_shape_poly_rejects_a_remainder_mod_n(monkeypatch, cold_shape_poly):
+    # the recursion reading P(0) as 2: every C-quotient stays exact, and
+    # the k = N term comes out doubled, so only the division by N sees it
+    lower = qseries.shape_poly
+    monkeypatch.setattr(qseries, "shape_poly",
+                        lambda n, d, s: QPoly([2]) if n == 0 else lower(n, d, s))
+    with pytest.raises(ArithmeticError, match="not divisible by 2"):
+        lower(2, 1, F)
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -175,12 +215,13 @@ def test_recursion_divisions_exact_up_to_n8(d):
 
 
 def test_shape_poly_two_particles_closed_form():
-    # P_d(2,q) = ((1+q)^d +- (1-q)^d) / 2
-    for d in range(1, 7):
-        plus = (QPoly([1, 1]) ** d + QPoly([1, -1]) ** d).exact_div_int(2)
-        minus = (QPoly([1, 1]) ** d - QPoly([1, -1]) ** d).exact_div_int(2)
-        assert shape_poly(2, d, B) == plus
-        assert shape_poly(2, d, F) == minus
+    # P_d(2,q) = ((1+q)^d +- (1-q)^d) / 2: the even binomial terms for
+    # bosons, the odd ones for fermions
+    for d in range(1, 12):
+        even = [math.comb(d, i) * (i % 2 == 0) for i in range(d + 1)]
+        odd = [math.comb(d, i) * (i % 2) for i in range(d + 1)]
+        assert shape_poly(2, d, B) == QPoly(even), d
+        assert shape_poly(2, d, F) == QPoly(odd), d
 
 
 def test_degree_laws():
