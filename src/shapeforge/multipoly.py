@@ -26,8 +26,8 @@ and only grows, with the sets and images of every (n, d) met so far.  Its
 sets hold one object per distinct row, from _rows, which source_slater and
 shiftops.apply_symword_slater also take their rows from.  A (4,3) grade-12
 decomposition leaves about 34k sets, 17k images and 158 rows in it, about
-8 MB of objects, and peaks at 138 MB.  The table is not locked: use it
-from one thread at a time.
+8 MB of objects, and peaks at about 106 MB.  The table is not locked: use
+it from one thread at a time.
 """
 
 from __future__ import annotations
@@ -61,11 +61,14 @@ class MPoly:
     __slots__ = ("n", "d", "terms")
 
     def __init__(self, n: int, d: int, terms: Mapping[tuple, int] | None = None):
+        """A copy of terms, without its zero coefficients.  The package's
+        own builders fill a new polynomial's terms in place instead."""
         if n < 0 or d < 1:
             raise ValueError(f"bad dimensions n={n} d={d}")
         self.n = n
         self.d = d
-        self.terms: dict[tuple, int] = dict(terms) if terms else {}
+        self.terms: dict[tuple, int] = (
+            {m: c for m, c in terms.items() if c} if terms else {})
 
     # -- constructors ----------------------------------------------------
 
@@ -151,25 +154,29 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check_same_space(other)
-        out = dict(self.terms)
+        p = MPoly(self.n, self.d)
+        p.terms = out = dict(self.terms)
         for m, c in other.terms.items():
             new = out.get(m, 0) + c
             if new:
                 out[m] = new
             else:
                 del out[m]
-        return MPoly(self.n, self.d, out)
+        return p
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.n, self.d, {m: -c for m, c in self.terms.items()})
+        p = MPoly(self.n, self.d)
+        p.terms = {m: -c for m, c in self.terms.items()}
+        return p
 
     def scale(self, k: int) -> "MPoly":
-        if k == 0:
-            return MPoly(self.n, self.d)
-        return MPoly(self.n, self.d, {m: c * k for m, c in self.terms.items()})
+        p = MPoly(self.n, self.d)
+        if k:
+            p.terms = {m: c * k for m, c in self.terms.items()}
+        return p
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -178,7 +185,8 @@ class MPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict[tuple, int] = {}
+        p = MPoly(self.n, self.d)
+        out = p.terms
         for ma, ca in a.items():
             for mb, cb in b.items():
                 key = tuple(x + y for x, y in zip(ma, mb))
@@ -187,7 +195,7 @@ class MPoly:
                     out[key] = new
                 else:
                     del out[key]
-        return MPoly(self.n, self.d, out)
+        return p
 
     __rmul__ = __mul__
 
@@ -198,7 +206,8 @@ class MPoly:
         n, d = self.n, self.d
         if sorted(sigma) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {sigma}")
-        out = {}
+        p = MPoly(n, d)
+        out = p.terms
         for m, c in self.terms.items():
             new = [0] * (n * d)
             for ci in range(d):
@@ -206,7 +215,7 @@ class MPoly:
                 for i in range(n):
                     new[base + sigma[i]] = m[base + i]
             out[tuple(new)] = c
-        return MPoly(n, d, out)
+        return p
 
     def is_antisymmetric(self) -> bool:
         """True iff every particle permutation multiplies self by its sign,
@@ -238,7 +247,8 @@ class MPoly:
         cont = self.content()
         sign = 1 if self.leading_coeff() > 0 else -1
         div = cont * sign
-        prim = MPoly(self.n, self.d, {m: c // div for m, c in self.terms.items()})
+        prim = MPoly(self.n, self.d)
+        prim.terms = {m: c // div for m, c in self.terms.items()}
         return prim, cont, sign
 
     # -- rendering -------------------------------------------------------
@@ -313,14 +323,14 @@ def elementary_symmetric(c: int, j: int, n: int, d: int) -> MPoly:
         raise ValueError(f"need 1 <= j <= n, got j={j} n={n}")
     if not 0 <= c < d:
         raise ValueError(f"coordinate {c} outside d={d}")
-    out = {}
+    p = MPoly(n, d)
     base = c * n
     for subset in itertools.combinations(range(n), j):
         exp = [0] * (n * d)
         for i in subset:
             exp[base + i] = 1
-        out[tuple(exp)] = 1
-    return MPoly(n, d, out)
+        p.terms[tuple(exp)] = 1
+    return p
 
 
 def antisymmetrize(rows: Sequence[tuple]) -> MPoly:
@@ -421,14 +431,17 @@ def _alternation_table(n: int, d: int) -> tuple[tuple[Callable, int], ...]:
 
 def slater_to_poly(coeffs: Mapping[tuple, int], n: int, d: int) -> MPoly:
     """Expand sum(coeff * Alt(rows)) into the particle variables, the
-    inverse of slater_coefficients."""
+    inverse of slater_coefficients; zero coefficients are skipped.  The
+    terms go straight into the result, so the expansion is held once."""
     table = _alternation_table(n, d)
-    terms = {}
+    p = MPoly(n, d)
+    terms = p.terms
     for rows, coeff in coeffs.items():
-        flat = tuple(itertools.chain.from_iterable(zip(*rows)))
-        for gather, sign in table:
-            terms[gather(flat)] = sign * coeff
-    return MPoly(n, d, terms)
+        if coeff:
+            flat = tuple(itertools.chain.from_iterable(zip(*rows)))
+            for gather, sign in table:
+                terms[gather(flat)] = sign * coeff
+    return p
 
 
 # The process-wide occupation-set table: every set interned so far, by id

@@ -89,16 +89,18 @@ def apply_letter_at(letter: Letter, k: int, p: MPoly) -> MPoly:
         raise ValueError("letter with zero step")
     i = letter.coordinate * p.n + k
     s = letter.step
+    out = MPoly(p.n, p.d)
     if s > 0:
-        terms = {m[:i] + (m[i] + s,) + m[i + 1:]: c for m, c in p.terms.items()}
+        out.terms = {m[:i] + (m[i] + s,) + m[i + 1:]: c
+                     for m, c in p.terms.items()}
     else:
         a = -s
-        terms = {
+        out.terms = {
             m[:i] + (m[i] - a,) + m[i + 1:]: c
             for m, c in p.terms.items()
             if m[i] >= a
         }
-    return MPoly(p.n, p.d, terms)
+    return out
 
 
 def apply_word_at(w: Word, k: int, p: MPoly) -> MPoly:

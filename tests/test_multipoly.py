@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -86,6 +87,19 @@ def test_mul_grade_additive_on_random_homogeneous():
 def test_from_terms_merges_duplicates():
     p = MPoly.from_terms(1, 1, [((2,), 3), ((2,), -3), ((1,), 5)])
     assert p.terms == {(1,): 5}
+
+
+def test_constructor_copies_and_drops_zero_coefficients():
+    # a zero coefficient used to be stored: the polynomial read as nonzero,
+    # unequal to zero and of grade 0
+    p = MPoly(1, 1, {(0,): 0})
+    assert p.is_zero() and p == MPoly.zero(1, 1) and p.grade() is None
+    assert MPoly(2, 1, {(1, 0): 2, (0, 1): 0}).terms == {(1, 0): 2}
+    # the caller's mapping stays the caller's
+    terms = {(1, 0): 2}
+    q = MPoly(2, 1, terms)
+    terms[(1, 0)] = 5
+    assert q.terms == {(1, 0): 2}
 
 
 # --- permutations and antisymmetry ---------------------------------------
@@ -525,6 +539,28 @@ def test_slater_to_poly_expands_like_antisymmetrize():
                                                 sets=1 if n * d == 1 else 3)
             assert slater_to_poly(coeffs, n, d) == _alt_sum(coeffs, n, d)
     assert slater_to_poly({}, 2, 3) == MPoly.zero(2, 3)
+    # a zero Slater coefficient adds no terms (it used to add n! zeros)
+    a, b = ((0, 0), (1, 0)), ((0, 0), (0, 1))
+    assert slater_to_poly({a: 0}, 2, 2).is_zero()
+    assert slater_to_poly({a: 0, b: 2}, 2, 2).terms == \
+        slater_to_poly({b: 2}, 2, 2).terms
+
+
+def test_slater_to_poly_holds_its_expansion_once():
+    # the terms go straight into the result, so the peak stays near what
+    # the result keeps: 1.34 times it while the constructor copied them
+    rng = random.Random(3)
+    coeffs = {rows: rng.choice((-3, -2, -1, 1, 2, 3))
+              for rows in slater_basis(3, 3, 9)}
+    slater_to_poly({next(iter(coeffs)): 1}, 3, 3)   # builds the table
+    tracemalloc.start()
+    try:
+        p = slater_to_poly(coeffs, 3, 3)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p) == 6 * len(coeffs) == 6 * 3838
+    assert peak <= 1.2 * kept
 
 
 def _flat_leading_key(rows):
